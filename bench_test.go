@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -358,18 +359,19 @@ func benchFleet(b *testing.B, n int) *fleet.Manager {
 // fleet-scale hot path.
 func benchFleetSweep(b *testing.B, hosts int) {
 	mgr := benchFleet(b, hosts)
-	mgr.ParallelInsideSweep() // prime host caches
+	ctx := context.Background()
+	if _, err := mgr.Run(ctx, fleet.Plan{}); err != nil { // prime host caches
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := mgr.ParallelInsideSweep()
-		if len(results) != hosts {
-			b.Fatalf("results = %d", len(results))
+		sum, err := mgr.Run(ctx, fleet.Plan{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Err != "" {
-				b.Fatalf("%s: %s", r.Host, r.Err)
-			}
+		if sum.Scanned != hosts || sum.Failed != 0 {
+			b.Fatalf("scanned %d of %d, %d failed", sum.Scanned, hosts, sum.Failed)
 		}
 	}
 }

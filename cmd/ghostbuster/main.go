@@ -42,6 +42,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -422,8 +423,8 @@ type fleetOptions struct {
 // clean rebuild instead of racing the original's machine.
 func buildCLIFleet(opts fleetOptions) (*fleet.Manager, error) {
 	mgr := fleet.NewManager()
-	mgr.MaxRetries = opts.maxRetries
-	mgr.BreakerThreshold = opts.breaker
+	mgr.Retry.MaxRetries = opts.maxRetries
+	mgr.Retry.BreakerThreshold = opts.breaker
 	mgr.AbortAfterFailureFraction = opts.abortFraction
 	if opts.hedge > 0 {
 		mgr.Hedge = hedgePolicy(opts.hedge)
@@ -454,29 +455,24 @@ func runFleet(opts fleetOptions) (int, error) {
 		opts.prof.ConfigureManager(mgr)
 		workers = opts.prof.Workers
 	}
-	var rep *fleet.Report
+	// Every fleet run is sealed: the collector sink builds the report
+	// whether or not the sweep is journaled.
+	col := fleet.NewCollector(mgr)
+	plan := fleet.Plan{Kind: fleet.SweepInside, Workers: workers, Journal: opts.journal, Sink: col.Add}
 	switch {
 	case opts.resume:
+		plan.Mode = fleet.ModeResume
 		fmt.Fprintf(os.Stderr, "resuming journaled sweep from %s...\n", opts.journal)
-		rep, err = mgr.Resume(fleet.SweepInside, workers, opts.journal)
 	case opts.journal != "":
 		fmt.Fprintf(os.Stderr, "sweeping %d hosts (journal: %s)...\n", opts.hosts, opts.journal)
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, opts.journal)
 	default:
-		// Unjournaled sweeps reuse the durable path against a throwaway
-		// journal in the OS temp dir, so every fleet run is sealed.
-		tmp, terr := os.CreateTemp("", "ghostbuster-sweep-*.gbj")
-		if terr != nil {
-			return exitError, terr
-		}
-		tmp.Close()
-		defer os.Remove(tmp.Name())
 		fmt.Fprintf(os.Stderr, "sweeping %d hosts...\n", opts.hosts)
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, workers, tmp.Name())
 	}
+	sum, err := mgr.Run(context.Background(), plan)
 	if err != nil {
 		return exitError, err
 	}
+	rep := col.Report(sum)
 
 	infected := len(rep.Infected()) > 0
 	if opts.jsonOut {
@@ -509,6 +505,9 @@ func runFleet(opts fleetOptions) (int, error) {
 	}
 	if rep.Aborted {
 		fmt.Printf("\nSWEEP ABORTED: %s (unscanned: %s)\n", rep.AbortReason, strings.Join(rep.NotScanned, ", "))
+	}
+	if mgr.Hedge != nil {
+		fmt.Printf("hedging: %d straggler scans duplicated, %d won (floor %s)\n", sum.Hedged, sum.HedgeWins, opts.hedge)
 	}
 	fmt.Printf("report digest: %s\n", rep.Digest)
 	printVerdict(infected, rep.Degraded(), rep.Aborted)

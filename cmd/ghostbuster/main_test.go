@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ghostbuster/internal/fleet"
@@ -145,13 +146,45 @@ func TestCorpusIsComplete(t *testing.T) {
 	}
 }
 
-// TestSupervisionFlags: -hedge runs a normal sweep (idle hedging is
-// digest- and verdict-invisible), -watchdog composes with the sharded
-// control plane, and -watchdog without shards is a usage error.
+// runCaptured runs the CLI with stdout redirected to a file and returns
+// what it printed there.
+func runCaptured(t *testing.T, args ...string) (int, string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	code, runErr := run(args)
+	os.Stdout = old
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out), runErr
+}
+
+// TestSupervisionFlags: -hedge arms straggler hedging on a plain
+// (unsharded) fleet sweep — the sweep reports its hedge tally, and idle
+// hedging is digest- and verdict-invisible — -watchdog composes with
+// the sharded control plane, and -watchdog without shards is a usage
+// error.
 func TestSupervisionFlags(t *testing.T) {
-	code, err := run([]string{"-fleet", "3", "-hedge", "500ms", "-infect", "Hacker Defender 1.0"})
+	code, out, err := runCaptured(t, "-fleet", "3", "-hedge", "500ms", "-infect", "Hacker Defender 1.0")
 	if err != nil || code != exitFindings {
 		t.Fatalf("hedged fleet: code %d, err %v", code, err)
+	}
+	if !strings.Contains(out, "hedging: ") || !strings.Contains(out, "floor 500ms") {
+		t.Fatalf("unsharded -hedge left no trace in the sweep output:\n%s", out)
+	}
+	_, plain, err := runCaptured(t, "-fleet", "3", "-infect", "Hacker Defender 1.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digestLine(plain) == "" || digestLine(out) != digestLine(plain) {
+		t.Errorf("hedged %q != unhedged %q", digestLine(out), digestLine(plain))
 	}
 	dir := t.TempDir()
 	code, err = run([]string{"-fleet", "8", "-shards", "2", "-shard-journal-dir", dir,
@@ -164,5 +197,43 @@ func TestSupervisionFlags(t *testing.T) {
 	}
 	if code, err := run([]string{"-fleet", "3", "-hedge", "-1s"}); err == nil || code != exitUsage {
 		t.Fatalf("negative -hedge: code %d, err %v", code, err)
+	}
+}
+
+// digestLine returns the "report digest:" line of a text-mode sweep.
+func digestLine(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "report digest: ") {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestUnjournaledFleetWritesNoJournal: a fleet sweep without -journal
+// is sealed straight from its results — it creates no throwaway journal
+// in the temp dir (TMPDIR points at a missing directory, so any attempt
+// would fail the run) — and its digest equals a journaled run's.
+func TestUnjournaledFleetWritesNoJournal(t *testing.T) {
+	dir := t.TempDir() // created before TMPDIR moves; later TempDirs nest here
+	t.Setenv("TMPDIR", filepath.Join(dir, "absent"))
+	digestOf := func(args ...string) string {
+		t.Helper()
+		code, out, err := runCaptured(t, append([]string{"-fleet", "3", "-json", "-infect", "Hacker Defender 1.0"}, args...)...)
+		if err != nil || code != exitFindings {
+			t.Fatalf("%v: code %d, err %v", args, code, err)
+		}
+		var rep fleet.Report
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if err := rep.Verify(); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return rep.Digest
+	}
+	plain := digestOf()
+	if journaled := digestOf("-journal", filepath.Join(dir, "sweep.gbj")); plain != journaled {
+		t.Errorf("unjournaled digest %.12s != journaled %.12s", plain, journaled)
 	}
 }

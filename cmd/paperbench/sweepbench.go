@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -85,7 +86,9 @@ func buildFleet(hosts int) (*fleet.Manager, error) {
 		}
 		mgr.Add(fmt.Sprintf("host-%04d", i), fm)
 	}
-	mgr.ParallelInsideSweep() // prime per-host caches
+	if _, err := mgr.Run(context.Background(), fleet.Plan{}); err != nil { // prime per-host caches
+		return nil, err
+	}
 	return mgr, nil
 }
 
@@ -94,14 +97,15 @@ func buildFleet(hosts int) (*fleet.Manager, error) {
 func timeFleetSweep(mgr *fleet.Manager, hosts int) (fleetBenchResult, error) {
 	res := fleetBenchResult{Hosts: hosts}
 	start := time.Now()
-	results := mgr.ParallelInsideSweep()
+	sum, err := mgr.Run(context.Background(), fleet.Plan{})
 	res.SweepNs = int64(time.Since(start))
-	for _, r := range results {
-		if r.Err != "" {
-			return res, fmt.Errorf("fleet sweep: %s: %s", r.Host, r.Err)
-		}
-		res.VirtualNs += int64(r.Elapsed + r.RetryNs)
+	if err != nil {
+		return res, err
 	}
+	if sum.Failed > 0 {
+		return res, fmt.Errorf("fleet sweep: %d of %d hosts failed", sum.Failed, sum.Hosts)
+	}
+	res.VirtualNs = sum.VirtualNs
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,14 +111,7 @@ func TestDeltaSweepMatchesColdScanDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := fleet.NewManager()
-	prof := d.ActiveProfile()
-	prof.ConfigureManager(mgr)
-	mgr.Add("h", cold)
-	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := coldReport(t, d.ActiveProfile(), "h", cold)
 	if rep.Digest != info.Digest {
 		t.Fatalf("warm incremental digest %s != cold one-shot digest %s", info.Digest, rep.Digest)
 	}
@@ -518,14 +512,7 @@ func TestRemovableHotplugTriggersDeltaSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := fleet.NewManager()
-	prof := d.ActiveProfile()
-	prof.ConfigureManager(mgr)
-	mgr.Add("u", cold)
-	rep, err := mgr.SweepJournaled(fleet.SweepInside, prof.Workers, filepath.Join(t.TempDir(), "cold.gbj"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := coldReport(t, d.ActiveProfile(), "u", cold)
 	if rep.Digest != info.Digest {
 		t.Fatalf("hot-plug incremental digest %s != cold one-shot digest %s", info.Digest, rep.Digest)
 	}
@@ -544,4 +531,21 @@ func TestRemovableHotplugTriggersDeltaSweep(t *testing.T) {
 	if len(info.Infected) != 0 {
 		t.Fatalf("detached host still reported infected: %v", info.Infected)
 	}
+}
+
+// coldReport sweeps one freshly built host once, journaled, under the
+// given profile and returns the sealed report.
+func coldReport(t *testing.T, prof profile.Profile, name string, m *machine.Machine) *fleet.Report {
+	t.Helper()
+	mgr := fleet.NewManager()
+	prof.ConfigureManager(mgr)
+	mgr.Add(name, m)
+	col := fleet.NewCollector(mgr)
+	sum, err := mgr.Run(context.Background(), fleet.Plan{
+		Workers: prof.Workers, Journal: filepath.Join(t.TempDir(), "cold.gbj"), Sink: col.Add,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Report(sum)
 }

@@ -21,6 +21,7 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,18 +165,7 @@ func (d *Daemon) runSweep(names []string, trigger string, now time.Time) (*Sweep
 	if sharded {
 		err = d.sweepSharded(info, prof, hostSet(hosts), false)
 	} else {
-		mgr := fleet.NewManager()
-		prof.ConfigureManager(mgr)
-		mgr.OnResult = d.resultSink(id, info)
-		for _, h := range hosts {
-			mgr.AddWithCache(h.name, h.m, h.cache)
-		}
-		var rep *fleet.Report
-		rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id))
-		if rep != nil {
-			info.Digest, info.Infected, info.Scanned, info.Aborted =
-				rep.Digest, rep.Infected(), len(rep.Results), rep.Aborted
-		}
+		err = d.sweepLocal(info, prof, hosts, false)
 	}
 	if err != nil {
 		info.Err = err.Error()
@@ -254,6 +244,41 @@ func (d *Daemon) shardConfig(id int, prof profile.Profile, info *SweepInfo) flee
 	}
 }
 
+// sweepLocal runs (or resumes) sweep info.ID on one fleet.Manager over
+// the daemon's live machines and long-lived per-host caches, so a quiet
+// host's re-scan charges only the cache's verify passes. Each committed
+// result is journaled, then streamed to API subscribers, then kept for
+// the sealed report. A resume whose journal committed nothing (crash
+// before the header landed) restarts the sweep fresh under the same id.
+func (d *Daemon) sweepLocal(info *SweepInfo, prof profile.Profile, hosts []dueHost, resume bool) error {
+	mgr := fleet.NewManager()
+	prof.ConfigureManager(mgr)
+	for _, h := range hosts {
+		mgr.AddWithCache(h.name, h.m, h.cache)
+	}
+	col := fleet.NewCollector(mgr)
+	stream := d.resultSink(info.ID, info)
+	plan := fleet.Plan{Kind: fleet.SweepInside, Workers: prof.Workers, Journal: d.journalPath(info.ID),
+		Sink: func(res fleet.HostResult) {
+			stream(res)
+			col.Add(res)
+		}}
+	if resume {
+		plan.Mode = fleet.ModeResume
+	}
+	sum, err := mgr.Run(context.Background(), plan)
+	if resume && errors.Is(err, fleet.ErrEmptyJournal) {
+		plan.Mode = fleet.ModeFresh // a fresh journal truncates the husk
+		sum, err = mgr.Run(context.Background(), plan)
+	}
+	if err != nil {
+		return err
+	}
+	rep := col.Report(sum)
+	info.Digest, info.Infected, info.Scanned, info.Aborted = rep.Digest, rep.Infected(), len(rep.Results), rep.Aborted
+	return nil
+}
+
 // sweepSharded runs (or resumes) sweep id through the coordinator.
 func (d *Daemon) sweepSharded(info *SweepInfo, prof profile.Profile, src memSource, resume bool) error {
 	c, err := fleetshard.New(d.shardConfig(info.ID, prof, info), src)
@@ -274,7 +299,7 @@ func (d *Daemon) sweepSharded(info *SweepInfo, prof profile.Profile, src memSour
 	return err
 }
 
-// resultSink returns the OnResult hook for sweep id: it broadcasts each
+// resultSink returns the result sink for sweep id: it broadcasts each
 // committed result to API subscribers the moment it lands and records
 // the per-host last verdict. Fleet serializes the calls.
 func (d *Daemon) resultSink(id int, info *SweepInfo) func(fleet.HostResult) {
@@ -431,26 +456,7 @@ func (d *Daemon) resumeSweep(id int) (*SweepInfo, error) {
 	if meta.Sharded {
 		err = d.sweepSharded(info, prof, hostSet(hosts), true)
 	} else {
-		mgr := fleet.NewManager()
-		prof.ConfigureManager(mgr)
-		mgr.OnResult = d.resultSink(id, info)
-		for _, h := range hosts {
-			mgr.AddWithCache(h.name, h.m, h.cache)
-		}
-		var rep *fleet.Report
-		rep, err = mgr.Resume(fleet.SweepInside, prof.Workers, d.journalPath(id))
-		if errors.Is(err, fleet.ErrEmptyJournal) {
-			// Crash before the first journal commit: nothing to replay,
-			// restart the sweep from scratch under the same id.
-			if rmErr := os.Remove(d.journalPath(id)); rmErr != nil {
-				return nil, rmErr
-			}
-			rep, err = mgr.SweepJournaled(fleet.SweepInside, prof.Workers, d.journalPath(id))
-		}
-		if rep != nil {
-			info.Digest, info.Infected, info.Scanned, info.Aborted =
-				rep.Digest, rep.Infected(), len(rep.Results), rep.Aborted
-		}
+		err = d.sweepLocal(info, prof, hosts, true)
 	}
 	if err != nil {
 		info.Err = err.Error()

@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // Accumulator is a commutative 256-bit hash accumulator over host
@@ -66,19 +65,4 @@ func (a Accumulator) Sum() string {
 	binary.LittleEndian.PutUint64(buf[32:], uint64(a.N))
 	sum := sha256.Sum256(buf[:])
 	return hex.EncodeToString(sum[:])
-}
-
-// AccumulateReport folds a classic (third-layer) fleet report's host
-// results into an accumulator — the bridge that lets tests prove a
-// sharded sweep's merged digest equals a single-manager sweep's over
-// the same hosts. Every result must already carry its content hash.
-func AccumulateReport(r *Report) (Accumulator, error) {
-	var acc Accumulator
-	for _, hr := range r.Results {
-		if hr.Hash == "" {
-			return acc, fmt.Errorf("fleet: accumulate: host %s result is unhashed", hr.Host)
-		}
-		acc.Fold(hr.Host, hr.Hash)
-	}
-	return acc, nil
 }

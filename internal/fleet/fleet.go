@@ -6,15 +6,16 @@
 // fast, daily — and outside sweeps — the RIS netboot flow — collecting
 // machine-readable results.
 //
-// Sweeps run through a bounded worker-pool scheduler: a 10k-host sweep
-// costs a fixed number of goroutines (the configured parallelism), not
-// one per host. Each host carries an incremental-scan cache, so the
-// daily re-sweep of an unchanged desktop charges only generation-check
-// verify passes instead of a full MFT and hive reparse.
+// Every sweep is one call to Manager.Run with a Plan, and runs through a
+// bounded worker-pool scheduler: a 10k-host sweep costs a fixed number
+// of goroutines (the plan's worker bound), not one per host. Each host
+// carries an incremental-scan cache, so the daily re-sweep of an
+// unchanged desktop charges only generation-check verify passes instead
+// of a full MFT and hive reparse.
 package fleet
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -23,8 +24,8 @@ import (
 	"time"
 
 	"ghostbuster/internal/core"
-	"ghostbuster/internal/faultinject"
 	"ghostbuster/internal/machine"
+	"ghostbuster/internal/supervise"
 	"ghostbuster/internal/winpe"
 )
 
@@ -39,9 +40,9 @@ type Host struct {
 	cache *core.ScanCache
 
 	// build constructs the host's machine on demand (AddLazy). A lazy
-	// host is materialized when its scan starts and released after its
-	// result is committed in a streaming sweep, so a million-host shard
-	// never holds more than its in-flight machines resident.
+	// host is materialized when its scan starts and released once its
+	// result stands, so a million-host shard never holds more than its
+	// in-flight machines resident.
 	build func() (*machine.Machine, error)
 }
 
@@ -95,10 +96,14 @@ type HostResult struct {
 	// too many consecutive failed attempts (across resumes), so the
 	// sweep stopped burning retry budget on it. See Report.Quarantined.
 	Quarantined bool `json:"quarantined,omitempty"`
-	// Hash is the content hash of this result (see ResultHash), set by
-	// journaled sweeps; it excludes timing and attempt accounting, so a
-	// replayed result hashes identically to the run that committed it.
+	// Hash is the content hash of this result (see ResultHash), set when
+	// the result commits; it excludes timing and attempt accounting, so
+	// a replayed result hashes identically to the run that committed it.
 	Hash string `json:"hash,omitempty"`
+	// Replayed marks a result restored from the journal on resume
+	// (hash-verified, not re-scanned). Provenance for the sink; never
+	// serialized, so it cannot reach a hash or a journal record.
+	Replayed bool `json:"-"`
 }
 
 // SweepKind selects which detection flow a sweep runs on every host.
@@ -110,41 +115,34 @@ const (
 	SweepOutside SweepKind = "outside" // RIS netboot clean-OS scan
 )
 
-// Manager coordinates scans across hosts.
+// Manager coordinates scans across hosts. It has exactly one sweep
+// method, Run; everything a sweep varies by (kind, worker bound,
+// journal, sink) travels in the Plan, and the fields here are the
+// per-host scan policy every sweep over this fleet shares.
 type Manager struct {
 	hosts []*Host
 	// sorted tracks whether hosts is in name order; Add/AddLazy mark it
-	// dirty and every sweep entry point re-sorts lazily, so enrolling a
-	// million hosts is O(n log n) total instead of O(n² log n).
+	// dirty and Run re-sorts lazily, so enrolling a million hosts is
+	// O(n log n) total instead of O(n² log n).
 	sorted bool
-	// Parallelism bounds the scheduler's worker pool for the parallel
-	// sweeps. Zero or negative means runtime.GOMAXPROCS(0).
-	Parallelism int
 	// HostParallelism is the intra-host fan-out: each inside scan runs
 	// its eight scan units across this many lanes (core.Detector
 	// Parallelism). Zero or one keeps per-host scans sequential.
 	HostParallelism int
-	// MaxRetries grants each failed or degraded host scan this many
-	// additional attempts within one sweep (transient faults — a torn
-	// read, a mid-scan mutation — often clear on re-scan). Zero retries
-	// nothing.
-	MaxRetries int
-	// RetryBackoff is the virtual-time wait before the first retry,
-	// doubling on each subsequent one; zero means 2s.
-	RetryBackoff time.Duration
 	// HostDeadline bounds each inside scan attempt in virtual time
 	// (core.Detector Deadline); zero means no deadline.
 	HostDeadline time.Duration
-	// BreakerThreshold opens a per-host circuit breaker after this many
-	// consecutive hard-failed attempts (counted across resumes of a
-	// journaled sweep): the host is quarantined instead of retried
-	// forever. Zero disables the breaker.
-	BreakerThreshold int
+	// Retry is the per-host retry policy: a failed or degraded scan is
+	// re-run after a doubling virtual-time backoff (transient faults — a
+	// torn read, a mid-scan mutation — often clear on re-scan), and a
+	// host whose consecutive hard failures reach the breaker threshold
+	// (counted across resumes of a journaled sweep) is quarantined
+	// instead of retried forever. The zero policy retries nothing.
+	Retry supervise.RetryPolicy
 	// AbortAfterFailureFraction stops a sweep loudly once more than
 	// this fraction of the fleet has failed or been quarantined — a
 	// failure rate that high means the run itself is compromised, not
-	// the hosts. Zero disables the error budget. Only journaled sweeps
-	// (SweepJournaled/Resume) enforce it.
+	// the hosts. Zero disables the error budget.
 	AbortAfterFailureFraction float64
 	// ConfigureDetector, when set, customizes each inside scan's
 	// detector after the sweep defaults (Advanced, Contain, Cache,
@@ -154,12 +152,6 @@ type Manager struct {
 	// swaps the noise-filter set. Must be safe for concurrent calls;
 	// profile method values are.
 	ConfigureDetector func(d *core.Detector)
-	// OnResult, when set, receives every host result a journaled sweep
-	// commits, the moment it commits — fresh scans and hash-verified
-	// journal replays alike. Calls are serialized. The resident daemon
-	// streams these to its API subscribers while the sweep is still
-	// running.
-	OnResult func(HostResult)
 	// ScanHost, when set, replaces the real per-host scan body. It is
 	// the control-plane simulation seam: shard-scaling and million-host
 	// benchmarks exercise the scheduler, journal, and digest machinery
@@ -167,73 +159,15 @@ type Manager struct {
 	// machine build per host. Production sweeps leave it nil.
 	ScanHost func(h *Host, kind SweepKind) HostResult
 	// Resident, when set, tracks how many host results are in flight or
-	// awaiting aggregation at once — the bounded-memory gauge streaming
-	// sweeps pin in tests and benchmarks. A fleetshard coordinator
-	// shares one gauge across every shard manager it drives.
+	// awaiting aggregation at once — the bounded-memory gauge sweeps pin
+	// in tests and benchmarks. A fleetshard coordinator shares one gauge
+	// across every shard manager it drives.
 	Resident *ResidentGauge
-	// Cancel, when non-nil, aborts a streaming sweep from outside once
-	// the channel closes: no new hosts are issued, in-flight scans are
-	// abandoned (their results discarded, never journaled), and the
-	// sweep returns a partial summary marked Interrupted with the
-	// journal sealed at the last committed record. This is the seam the
-	// fleetshard watchdog cancels a wedged shard through.
-	Cancel <-chan struct{}
-	// Hedge, when set, enables straggler hedging in streaming sweeps: a
-	// host scan that outlives the policy threshold gets a duplicate scan
-	// on a clone of the host, and the first result to seal wins. See
-	// HedgePolicy for the digest-equality rules.
+	// Hedge, when set, enables straggler hedging: a host scan that
+	// outlives the policy threshold gets a duplicate scan on a clone of
+	// the host, and the first result to seal wins. See HedgePolicy for
+	// the digest-equality rules.
 	Hedge *HedgePolicy
-	// BackoffJitterSeed, when nonzero, applies deterministic full jitter
-	// to every retry backoff wait: the wait becomes a splitmix64-seeded
-	// uniform sample in [1, backoff] (per host and attempt), so a fleet
-	// of hosts that all failed together does not retry in lockstep. The
-	// doubling-and-saturating schedule still bounds every wait. Zero is
-	// the explicit zero-jitter mode: waits are the exact NextBackoff
-	// schedule, as before.
-	BackoffJitterSeed int64
-}
-
-// defaultRetryBackoff is the initial retry wait when RetryBackoff is 0.
-const defaultRetryBackoff = 2 * time.Second
-
-// maxRetryBackoff caps the doubling retry backoff. Without the cap a
-// large MaxRetries overflows time.Duration (2s doubled 62 times goes
-// negative) and Clock.Advance would walk the virtual clock backwards.
-const maxRetryBackoff = 5 * time.Minute
-
-// MaxRetryBackoff is the saturation ceiling for every doubling retry
-// backoff in the control plane — per-host retries here and shard-level
-// retries in the fleetshard coordinator share it through NextBackoff.
-const MaxRetryBackoff = maxRetryBackoff
-
-// NextBackoff doubles a retry wait, saturating at MaxRetryBackoff.
-// This is the single saturation rule for retry backoff at every level:
-// duplicating the doubling logic is how a coordinator ends up with an
-// uncapped wait that overflows time.Duration.
-func NextBackoff(cur time.Duration) time.Duration {
-	if cur >= maxRetryBackoff/2 {
-		return maxRetryBackoff
-	}
-	return cur * 2
-}
-
-// nextBackoff is the package-internal alias retained for the retry loop.
-func nextBackoff(cur time.Duration) time.Duration { return NextBackoff(cur) }
-
-// JitteredBackoff maps a deterministic backoff wait to its full-jitter
-// form: a uniform sample in [1, cur] drawn from the shared splitmix64
-// mixer over (seed, tags). The doubling schedule (NextBackoff) still
-// governs the *ceiling*, so the cap is preserved — jitter only spreads
-// waits below it, which is what breaks retry thundering herds. Seed 0
-// is the explicit zero-jitter mode and returns cur unchanged.
-func JitteredBackoff(cur time.Duration, seed int64, tags ...uint64) time.Duration {
-	if cur > maxRetryBackoff {
-		cur = maxRetryBackoff
-	}
-	if seed == 0 || cur <= 1 {
-		return cur
-	}
-	return 1 + time.Duration(faultinject.Mix(seed, tags...)%uint64(cur))
 }
 
 // backoffTag folds a host name into a mixer discriminator so two hosts
@@ -366,59 +300,41 @@ func (h *Host) finish(res *HostResult, reports []*core.Report, err error, start 
 	res.Elapsed = h.M.Clock.Now() - start
 }
 
-func (h *Host) scanOnce(kind SweepKind, hostParallelism int, deadline time.Duration, configure func(*core.Detector)) HostResult {
-	if kind == SweepOutside {
-		return h.outsideScan()
-	}
-	return h.insideScan(hostParallelism, deadline, configure)
-}
-
 // scanHost runs one scan attempt on a host: the ScanHost simulation
 // seam if set, otherwise the real scan on a (possibly just
-// materialized) machine.
-func (mgr *Manager) scanHost(h *Host, kind SweepKind) HostResult {
+// materialized) machine. A cancellable ctx is threaded into the inside
+// scan's detector, so a cancelled in-flight scan abandons its remaining
+// units at the next unit boundary instead of running to completion.
+func (mgr *Manager) scanHost(ctx context.Context, h *Host, kind SweepKind) HostResult {
 	if mgr.ScanHost != nil {
 		return mgr.ScanHost(h, kind)
 	}
 	if err := h.materialize(); err != nil {
 		return HostResult{Host: h.Name, Kind: kind, Err: err.Error()}
 	}
+	if kind == SweepOutside {
+		return h.outsideScan()
+	}
 	configure := mgr.ConfigureDetector
-	if mgr.Cancel != nil {
-		// Thread the sweep's cancel seam into the detector: a cancelled
-		// in-flight scan abandons its remaining units at the next unit
-		// boundary instead of running the sweep to completion.
-		cancel, inner := mgr.Cancel, configure
+	if done := ctx.Done(); done != nil {
+		inner := configure
 		configure = func(d *core.Detector) {
-			d.Cancel = cancel
+			d.Cancel = done
 			if inner != nil {
 				inner(d)
 			}
 		}
 	}
-	return h.scanOnce(kind, mgr.HostParallelism, mgr.HostDeadline, configure)
-}
-
-// cancelFired reports whether the sweep's Cancel channel has closed.
-func (mgr *Manager) cancelFired() bool {
-	if mgr.Cancel == nil {
-		return false
-	}
-	select {
-	case <-mgr.Cancel:
-		return true
-	default:
-		return false
-	}
+	return h.insideScan(mgr.HostParallelism, mgr.HostDeadline, configure)
 }
 
 // resultCancelled reports whether a host result is a cancellation
-// casualty: a scan that abandoned units because Manager.Cancel closed
-// mid-flight. The detector's ErrCancelled text survives both the
-// fail-fast error and a contained unit's DegradedUnit fault, so either
-// surface marks the result partial by construction — the collector
-// discards it rather than committing a weaker verdict than the host
-// would earn from a full scan.
+// casualty: a scan that abandoned units because the sweep's context was
+// cancelled mid-flight. The detector's ErrCancelled text survives both
+// the fail-fast error and a contained unit's DegradedUnit fault, so
+// either surface marks the result partial by construction — the
+// collector discards it rather than committing a weaker verdict than
+// the host would earn from a full scan.
 func resultCancelled(res *HostResult) bool {
 	marker := core.ErrCancelled.Error()
 	if strings.Contains(res.Err, marker) {
@@ -434,67 +350,43 @@ func resultCancelled(res *HostResult) bool {
 	return false
 }
 
-// runHost scans one host with bounded retry: a failed or degraded
-// attempt is retried after a doubling virtual-time backoff, up to
-// MaxRetries extra attempts. The returned result is the final attempt's;
-// vtime burned by abandoned attempts and backoff waits accumulates in
-// RetryNs so Elapsed never double-charges a host.
-func (mgr *Manager) runHost(h *Host, kind SweepKind) HostResult {
-	return mgr.runHostFrom(h, kind, 0, 0, nil)
-}
-
-// runHostFrom is runHost continuing from journaled history: attempt
-// numbering starts after priorAttempts and the circuit breaker counts
-// priorFailed dangling attempts from before the crash. onAttempt, when
-// set, commits each attempt start to the journal before it runs.
-func (mgr *Manager) runHostFrom(h *Host, kind SweepKind, priorAttempts, priorFailed int, onAttempt func(attempt int)) HostResult {
-	backoff := mgr.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	if backoff > maxRetryBackoff {
-		backoff = maxRetryBackoff
-	}
+// runHostFrom scans one host under the manager's retry policy, with
+// attempt numbering continuing after priorAttempts and the breaker
+// counting priorFailed dangling attempts from before a crash. onAttempt,
+// when set, commits each attempt start to the journal before it runs.
+// The returned result is the final attempt's; vtime burned by abandoned
+// attempts and backoff waits accumulates in RetryNs so Elapsed never
+// double-charges a host.
+func (mgr *Manager) runHostFrom(ctx context.Context, h *Host, kind SweepKind, priorAttempts, priorFailed int, onAttempt func(attempt int)) HostResult {
+	rt := mgr.Retry.Begin(backoffTag(h.Name), priorAttempts, priorFailed)
 	var retryNs time.Duration
-	consecFailed := priorFailed
-	for local := 1; ; local++ {
-		attempt := priorAttempts + local
+	for {
+		attempt := rt.Next()
 		if onAttempt != nil {
 			onAttempt(attempt)
 		}
-		res := mgr.scanHost(h, kind)
+		res := mgr.scanHost(ctx, h, kind)
 		if resultCancelled(&res) {
 			// The sweep is being torn down; retrying would spin against
-			// the closed channel. Return the casualty as-is — the
+			// the cancelled context. Return the casualty as-is — the
 			// collector discards it and the host stays unfinished.
 			return res
 		}
-		if res.Err != "" {
-			consecFailed++
-		} else {
-			consecFailed = 0
-		}
-		done := (res.Err == "" && res.Degraded == 0) || local > mgr.MaxRetries
-		if mgr.BreakerThreshold > 0 && consecFailed >= mgr.BreakerThreshold {
-			res.Quarantined = true
-			done = true
-		}
-		if done {
+		verdict, wait := rt.After(res.Err == "" && res.Degraded == 0, res.Err != "")
+		if verdict != supervise.Retry {
+			if verdict == supervise.Quarantine {
+				res.Quarantined = true
+			}
 			if attempt > 1 {
 				res.Attempts = attempt
 				res.RetryNs = retryNs
 			}
 			return res
 		}
-		wait := backoff
-		if mgr.BackoffJitterSeed != 0 {
-			wait = JitteredBackoff(backoff, mgr.BackoffJitterSeed, backoffTag(h.Name), uint64(attempt))
-		}
 		retryNs += res.Elapsed + wait
 		if h.M != nil { // synthetic hosts have no machine clock to wait on
 			h.M.Clock.Advance(wait)
 		}
-		backoff = nextBackoff(backoff)
 	}
 }
 
@@ -505,26 +397,11 @@ type indexedResult struct {
 	r HostResult
 }
 
-// schedule fans scan out over the fleet with at most `workers`
-// goroutines and streams completions. This is the single scan loop every
-// sweep flavor goes through: the sequential sweeps run it with one
-// worker, the parallel sweeps with the configured bound. A panicking
-// host scan is captured as that host's error instead of tearing down the
-// whole sweep.
-func (mgr *Manager) schedule(workers int, scan func(*Host) HostResult) <-chan indexedResult {
-	mgr.ensureSorted()
-	indices := make([]int, len(mgr.hosts))
-	for i := range indices {
-		indices[i] = i
-	}
-	return mgr.scheduleHosts(workers, indices, nil, scan)
-}
-
-// scheduleHosts is the scheduler core: it fans scan over the given
-// host indices only, and stops issuing new hosts once stop is closed
-// (in-flight scans still complete and report). Journaled sweeps use
-// the subset form to skip hosts already committed in the journal, and
-// stop to enforce the fleet error budget.
+// scheduleHosts fans scan out over the given host indices with at most
+// `workers` goroutines (0 means runtime.GOMAXPROCS(0)) and streams
+// completions. It stops issuing new hosts once stop is closed; in-flight
+// scans still complete and report. A panicking host scan is captured as
+// that host's error instead of tearing down the whole sweep.
 func (mgr *Manager) scheduleHosts(workers int, indices []int, stop <-chan struct{}, scan func(*Host) HostResult) <-chan indexedResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -570,82 +447,4 @@ func capturedScan(h *Host, scan func(*Host) HostResult) (res HostResult) {
 		}
 	}()
 	return scan(h)
-}
-
-// Sweep runs the given sweep kind over every host with at most `workers`
-// concurrent host scans (0 means runtime.GOMAXPROCS(0)) and returns the
-// results in host order.
-func (mgr *Manager) Sweep(kind SweepKind, workers int) []HostResult {
-	results := make([]HostResult, len(mgr.hosts))
-	for ir := range mgr.schedule(workers, func(h *Host) HostResult { return mgr.runHost(h, kind) }) {
-		results[ir.i] = ir.r
-	}
-	return results
-}
-
-// SweepStream is Sweep without the ordering barrier: results arrive on
-// the returned channel as hosts complete, so a management console can
-// act on early completions while a large fleet is still scanning. The
-// channel closes after the last host.
-func (mgr *Manager) SweepStream(kind SweepKind, workers int) <-chan HostResult {
-	out := make(chan HostResult)
-	go func() {
-		for ir := range mgr.schedule(workers, func(h *Host) HostResult { return mgr.runHost(h, kind) }) {
-			out <- ir.r
-		}
-		close(out)
-	}()
-	return out
-}
-
-// InsideSweep runs the inside-the-box detection on every host, one at a
-// time. Hosts keep running; this is the "scan their machines daily"
-// mode.
-func (mgr *Manager) InsideSweep() []HostResult { return mgr.Sweep(SweepInside, 1) }
-
-// ParallelInsideSweep runs the inside sweep through the bounded
-// scheduler at the manager's configured parallelism. Each simulated
-// machine is single-threaded, but distinct machines are independent, so
-// the management console fans out across the fleet the way a real
-// deployment does — at fixed goroutine cost. Results come back in host
-// order.
-func (mgr *Manager) ParallelInsideSweep() []HostResult {
-	return mgr.Sweep(SweepInside, mgr.Parallelism)
-}
-
-// OutsideSweep runs the RIS-automated outside-the-box file check on
-// every host, one at a time.
-func (mgr *Manager) OutsideSweep() []HostResult { return mgr.Sweep(SweepOutside, 1) }
-
-// ParallelOutsideSweep runs the outside sweep through the bounded
-// scheduler at the manager's configured parallelism.
-func (mgr *Manager) ParallelOutsideSweep() []HostResult {
-	return mgr.Sweep(SweepOutside, mgr.Parallelism)
-}
-
-// Summary aggregates sweep results.
-type Summary struct {
-	Hosts    int      `json:"hosts"`
-	Infected []string `json:"infected"`
-	Errors   []string `json:"errors,omitempty"`
-}
-
-// Summarize builds the fleet-level verdict.
-func Summarize(results []HostResult) Summary {
-	s := Summary{Hosts: len(results)}
-	for _, r := range results {
-		if r.Err != "" {
-			s.Errors = append(s.Errors, fmt.Sprintf("%s: %s", r.Host, r.Err))
-			continue
-		}
-		if r.Infected {
-			s.Infected = append(s.Infected, r.Host)
-		}
-	}
-	return s
-}
-
-// MarshalResults renders results as JSON for the management console.
-func MarshalResults(results []HostResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
 }

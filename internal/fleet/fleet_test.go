@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -36,24 +37,62 @@ func buildFleet(t *testing.T, n int, infect map[int]ghostware.Ghostware) *Manage
 
 func hostName(i int) string { return "host-" + string(rune('a'+i)) }
 
+// sweep runs one plan with a Collector attached (alongside any sink the
+// plan already carries) and returns the sealed report and summary.
+func sweep(t testing.TB, mgr *Manager, p Plan) (*Report, *SweepSummary) {
+	t.Helper()
+	col := NewCollector(mgr)
+	inner := p.Sink
+	p.Sink = func(res HostResult) {
+		col.Add(res)
+		if inner != nil {
+			inner(res)
+		}
+	}
+	sum, err := mgr.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Report(sum), sum
+}
+
+// insideSweep runs a one-worker unjournaled inside sweep and returns
+// the results in host order.
+func insideSweep(t testing.TB, mgr *Manager) []HostResult {
+	t.Helper()
+	rep, _ := sweep(t, mgr, Plan{Workers: 1})
+	return rep.Results
+}
+
+// hostErrors lists every failed host result as "host: error".
+func hostErrors(results []HostResult) []string {
+	var out []string
+	for _, r := range results {
+		if r.Err != "" {
+			out = append(out, r.Host+": "+r.Err)
+		}
+	}
+	return out
+}
+
 func TestInsideSweepClassifiesFleet(t *testing.T) {
 	mgr := buildFleet(t, 4, map[int]ghostware.Ghostware{
 		1: ghostware.NewHackerDefender(),
 		3: ghostware.NewUrbin(),
 	})
-	results := mgr.InsideSweep()
+	rep, _ := sweep(t, mgr, Plan{Workers: 1})
+	results := rep.Results
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	s := Summarize(results)
-	if s.Hosts != 4 || len(s.Errors) != 0 {
-		t.Fatalf("summary = %+v", s)
+	if errs := hostErrors(results); len(errs) != 0 {
+		t.Fatalf("errors = %v", errs)
 	}
 	want := map[string]bool{hostName(1): true, hostName(3): true}
-	if len(s.Infected) != 2 {
-		t.Fatalf("infected = %v", s.Infected)
+	if len(rep.Infected()) != 2 {
+		t.Fatalf("infected = %v", rep.Infected())
 	}
-	for _, h := range s.Infected {
+	for _, h := range rep.Infected() {
 		if !want[h] {
 			t.Errorf("false positive host %s", h)
 		}
@@ -67,10 +106,9 @@ func TestInsideSweepClassifiesFleet(t *testing.T) {
 
 func TestOutsideSweepRebootsHostsBack(t *testing.T) {
 	mgr := buildFleet(t, 2, map[int]ghostware.Ghostware{0: ghostware.NewVanquish()})
-	results := mgr.OutsideSweep()
-	s := Summarize(results)
-	if len(s.Infected) != 1 || s.Infected[0] != hostName(0) {
-		t.Fatalf("infected = %v", s.Infected)
+	rep, _ := sweep(t, mgr, Plan{Kind: SweepOutside, Workers: 1})
+	if got := rep.Infected(); len(got) != 1 || got[0] != hostName(0) {
+		t.Fatalf("infected = %v", got)
 	}
 	// Every host is back in service after the netboot scan.
 	for i := 0; i < 2; i++ {
@@ -92,10 +130,11 @@ func mgrHost(t *testing.T, mgr *Manager, name string) *machine.Machine {
 	return nil
 }
 
+// TestMarshalResultsIsValidJSON: the results the management console
+// renders round-trip through JSON with their verdicts intact.
 func TestMarshalResultsIsValidJSON(t *testing.T) {
 	mgr := buildFleet(t, 2, map[int]ghostware.Ghostware{1: ghostware.NewBerbew()})
-	results := mgr.InsideSweep()
-	data, err := MarshalResults(results)
+	data, err := json.MarshalIndent(insideSweep(t, mgr), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +160,16 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 			4: ghostware.NewVanquish(),
 		})
 	}
-	seq := build().InsideSweep()
+	seq := insideSweep(t, build())
 	for _, workers := range []int{1, 4, 64} {
-		mgr := build()
-		mgr.Parallelism = workers
-		par := mgr.ParallelInsideSweep()
-		if len(seq) != len(par) {
-			t.Fatalf("workers=%d: result counts differ: %d vs %d", workers, len(seq), len(par))
+		par, _ := sweep(t, build(), Plan{Workers: workers})
+		if len(seq) != len(par.Results) {
+			t.Fatalf("workers=%d: result counts differ: %d vs %d", workers, len(seq), len(par.Results))
 		}
-		for i := range seq {
-			if seq[i].Host != par[i].Host || seq[i].Infected != par[i].Infected || seq[i].Hidden != par[i].Hidden {
+		for i, p := range par.Results {
+			if seq[i].Host != p.Host || seq[i].Infected != p.Infected || seq[i].Hidden != p.Hidden {
 				t.Errorf("workers=%d host %s: seq {inf %v hid %d} vs par {inf %v hid %d}",
-					workers, seq[i].Host, seq[i].Infected, seq[i].Hidden, par[i].Infected, par[i].Hidden)
+					workers, seq[i].Host, seq[i].Infected, seq[i].Hidden, p.Infected, p.Hidden)
 			}
 		}
 	}
@@ -165,7 +202,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	mgr := tinyFleet(t, 16)
 	const workers = 3
 	var inFlight, peak int32
-	for ir := range mgr.schedule(workers, func(h *Host) HostResult {
+	mgr.ScanHost = func(h *Host, kind SweepKind) HostResult {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			old := atomic.LoadInt32(&peak)
@@ -175,10 +212,9 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		atomic.AddInt32(&inFlight, -1)
-		return HostResult{Host: h.Name}
-	}) {
-		_ = ir
+		return HostResult{Host: h.Name, Kind: kind}
 	}
+	sweep(t, mgr, Plan{Workers: workers})
 	if p := atomic.LoadInt32(&peak); p > workers {
 		t.Fatalf("concurrency peaked at %d, bound is %d", p, workers)
 	}
@@ -193,17 +229,18 @@ func TestSchedulerCapturesPanics(t *testing.T) {
 	mgr := tinyFleet(t, 4)
 	n := 0
 	var failed string
-	for ir := range mgr.schedule(2, func(h *Host) HostResult {
+	mgr.ScanHost = func(h *Host, kind SweepKind) HostResult {
 		if h.Name == "host-002" {
 			panic("disk on fire")
 		}
-		return HostResult{Host: h.Name}
-	}) {
-		n++
-		if ir.r.Err != "" {
-			failed = ir.r.Host + ": " + ir.r.Err
-		}
+		return HostResult{Host: h.Name, Kind: kind}
 	}
+	sweep(t, mgr, Plan{Workers: 2, Sink: func(r HostResult) {
+		n++
+		if r.Err != "" {
+			failed = r.Host + ": " + r.Err
+		}
+	}})
 	if n != 4 {
 		t.Fatalf("sweep lost results: %d of 4", n)
 	}
@@ -212,17 +249,23 @@ func TestSchedulerCapturesPanics(t *testing.T) {
 	}
 }
 
-// TestSweepStreamDeliversAllHosts: the streaming variant yields every
-// host exactly once and closes.
+// TestSweepStreamDeliversAllHosts: the sink sees every host exactly
+// once, as it commits.
 func TestSweepStreamDeliversAllHosts(t *testing.T) {
 	mgr := buildFleet(t, 3, map[int]ghostware.Ghostware{2: ghostware.NewVanquish()})
 	seen := map[string]int{}
 	infected := 0
-	for r := range mgr.SweepStream(SweepInside, 4) {
+	sum, err := mgr.Run(context.Background(), Plan{Workers: 4, Sink: func(r HostResult) {
 		seen[r.Host]++
 		if r.Infected {
 			infected++
 		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Infected != infected {
+		t.Errorf("summary infected %d, sink saw %d", sum.Infected, infected)
 	}
 	if len(seen) != 3 {
 		t.Fatalf("stream delivered %d hosts, want 3", len(seen))
@@ -244,8 +287,8 @@ func TestSweepStreamDeliversAllHosts(t *testing.T) {
 // more, and the verdicts must not drift.
 func TestWarmSweepCostsLessVirtualTime(t *testing.T) {
 	mgr := buildFleet(t, 3, map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()})
-	cold := mgr.InsideSweep()
-	warm := mgr.InsideSweep()
+	cold := insideSweep(t, mgr)
+	warm := insideSweep(t, mgr)
 	for i := range cold {
 		if warm[i].Infected != cold[i].Infected || warm[i].Hidden != cold[i].Hidden {
 			t.Errorf("host %s verdict drifted between sweeps", cold[i].Host)
@@ -260,11 +303,11 @@ func TestWarmSweepCostsLessVirtualTime(t *testing.T) {
 // TestEmptyFleetSweeps: scheduling over zero hosts terminates cleanly.
 func TestEmptyFleetSweeps(t *testing.T) {
 	mgr := NewManager()
-	if got := mgr.ParallelInsideSweep(); len(got) != 0 {
-		t.Fatalf("results = %v", got)
-	}
-	if got := mgr.OutsideSweep(); len(got) != 0 {
-		t.Fatalf("results = %v", got)
+	for _, kind := range []SweepKind{SweepInside, SweepOutside} {
+		rep, sum := sweep(t, mgr, Plan{Kind: kind})
+		if len(rep.Results) != 0 || sum.Hosts != 0 || sum.Scanned != 0 {
+			t.Fatalf("%s: results = %v, summary = %+v", kind, rep.Results, sum)
+		}
 	}
 }
 
@@ -274,10 +317,9 @@ func TestParallelOutsideSweepMatchesSequential(t *testing.T) {
 	build := func() *Manager {
 		return buildFleet(t, 3, map[int]ghostware.Ghostware{0: ghostware.NewVanquish()})
 	}
-	seq := build().OutsideSweep()
-	mgr := build()
-	mgr.Parallelism = 4
-	par := mgr.ParallelOutsideSweep()
+	seqRep, _ := sweep(t, build(), Plan{Kind: SweepOutside, Workers: 1})
+	parRep, _ := sweep(t, build(), Plan{Kind: SweepOutside, Workers: 4})
+	seq, par := seqRep.Results, parRep.Results
 	for i := range seq {
 		if seq[i].Host != par[i].Host || seq[i].Infected != par[i].Infected {
 			t.Errorf("host %s: seq inf=%v vs par inf=%v", seq[i].Host, seq[i].Infected, par[i].Infected)
@@ -293,20 +335,19 @@ func TestParallelOutsideSweepMatchesSequential(t *testing.T) {
 // exactly like the per-host sequential sweep.
 func TestHostParallelismSweepMatchesSequential(t *testing.T) {
 	infections := map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()}
-	want := Summarize(buildFleet(t, 3, infections).InsideSweep())
+	want, _ := sweep(t, buildFleet(t, 3, infections), Plan{Workers: 1})
 
 	mgr := buildFleet(t, 3, infections)
-	mgr.Parallelism = 2
 	mgr.HostParallelism = 4
-	results := mgr.ParallelInsideSweep()
-	got := Summarize(results)
-	if len(got.Errors) != 0 {
-		t.Fatalf("errors = %v", got.Errors)
+	got, _ := sweep(t, mgr, Plan{Workers: 2})
+	if errs := hostErrors(got.Results); len(errs) != 0 {
+		t.Fatalf("errors = %v", errs)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("parallel-host summary %+v != sequential %+v", got, want)
+	if fmt.Sprint(got.Infected()) != fmt.Sprint(want.Infected()) || got.Digest != want.Digest {
+		t.Errorf("parallel-host sweep infected %v (digest %.12s) != sequential %v (digest %.12s)",
+			got.Infected(), got.Digest, want.Infected(), want.Digest)
 	}
-	for _, r := range results {
+	for _, r := range got.Results {
 		if len(r.Reports) != 4 {
 			t.Errorf("%s: reports = %d", r.Host, len(r.Reports))
 		}

@@ -1,4 +1,4 @@
-// Straggler hedging for streaming sweeps: when one host's scan runs
+// Straggler hedging: when one host's scan runs
 // far past what its peers needed, the sweep launches a duplicate scan
 // on a clone of the host and takes whichever result seals first. The
 // scan engine is deterministic in the machine build, so the clone's

@@ -1,19 +1,16 @@
-// Durable sweeps: the Manager's journaled sweep flow. Every host state
-// transition is committed to an append-only checksummed journal
-// (internal/journal), so a sweep killed or wedged mid-run can be
-// resumed: committed terminal results are replayed (after hash
-// verification) instead of re-scanned, in-flight hosts are re-run with
-// their attempt accounting continued, and the merged report is
-// tamper-evident end-to-end — per-host content hashes plus a fleet-
-// level digest over them.
+// Durable sweeps: a Plan with a Journal path commits every host state
+// transition to an append-only checksummed journal (internal/journal),
+// so a sweep killed or wedged mid-run can be resumed: committed terminal
+// results are replayed (after hash verification) instead of re-scanned,
+// in-flight hosts are re-run with their attempt accounting continued,
+// and the sealed report is tamper-evident end-to-end — per-host content
+// hashes plus a fleet-level digest over them.
 package fleet
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"ghostbuster/internal/core"
 	"ghostbuster/internal/journal"
@@ -26,9 +23,9 @@ import (
 // by starting that sweep over.
 var ErrEmptyJournal = errors.New("fleet: journal has no committed records — nothing to resume (start a fresh sweep)")
 
-// Report is the merged outcome of a journaled sweep: the fleet-level
-// artifact an operator acts on, carrying enough evidence to prove it
-// was not altered after the fact.
+// Report is the sealed outcome of a sweep, built by a Collector sink:
+// the fleet-level artifact an operator acts on, carrying enough
+// evidence to prove it was not altered after the fact.
 type Report struct {
 	Kind    SweepKind    `json:"kind"`
 	Results []HostResult `json:"results"`
@@ -175,46 +172,46 @@ type hostReplay struct {
 	dangling int
 }
 
-// SweepJournaled runs a sweep recording every host state transition to
-// a fresh journal at path, and returns the merged, sealed report. The
-// journal file is left behind deliberately: it is the recovery point
-// if this process dies, and the audit trail if it does not.
-func (mgr *Manager) SweepJournaled(kind SweepKind, workers int, path string) (*Report, error) {
-	j, err := journal.Create(path)
-	if err != nil {
-		return nil, err
+// openJournal prepares a plan's journal. A fresh journaled sweep
+// creates the file (truncating a husk) and commits the sweep header and
+// one scheduled record per host before any scan; resume and replay open
+// the journal — recovering a torn tail, failing loudly on interior
+// corruption — and fold its records into per-host replay state. An
+// unjournaled plan gets a nil journal.
+func (mgr *Manager) openJournal(p Plan) (*journal.Journal, map[string]*hostReplay, error) {
+	if p.Journal == "" {
+		if p.Mode != ModeFresh {
+			return nil, nil, fmt.Errorf("fleet: resume and replay need Plan.Journal")
+		}
+		return nil, nil, nil
 	}
-	defer j.Close()
-	if _, err := j.Append(journal.Record{State: journal.StateSweep, Kind: string(kind), Hosts: mgr.Hosts()}); err != nil {
-		return nil, err
+	if p.Mode != ModeFresh {
+		j, rec, err := journal.Open(p.Journal)
+		if err != nil {
+			return nil, nil, err
+		}
+		replay, err := mgr.analyzeJournal(p.Kind, rec.Records)
+		if err != nil {
+			j.Close()
+			return nil, nil, err
+		}
+		return j, replay, nil
+	}
+	j, err := journal.Create(p.Journal)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := j.Append(journal.Record{State: journal.StateSweep, Kind: string(p.Kind), Hosts: mgr.Hosts()}); err != nil {
+		j.Close()
+		return nil, nil, err
 	}
 	for _, h := range mgr.hosts {
 		if _, err := j.Append(journal.Record{State: journal.StateScheduled, Host: h.Name}); err != nil {
-			return nil, err
+			j.Close()
+			return nil, nil, err
 		}
 	}
-	return mgr.sweepJournaled(kind, workers, j, nil)
-}
-
-// Resume continues an interrupted journaled sweep. The journal is
-// replayed (recovering a torn tail, failing loudly on interior
-// corruption), committed terminal results are verified against their
-// content hashes and replayed without re-scanning, and hosts that were
-// scheduled or in flight at the crash are re-run — with attempt
-// numbering and the circuit breaker's failure count continuing across
-// the crash boundary. The merged report covers the whole sweep, both
-// halves of the crash.
-func (mgr *Manager) Resume(kind SweepKind, workers int, path string) (*Report, error) {
-	j, rec, err := journal.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	replay, err := mgr.analyzeJournal(kind, rec.Records)
-	if err != nil {
-		return nil, err
-	}
-	return mgr.sweepJournaled(kind, workers, j, replay)
+	return j, nil, nil
 }
 
 // analyzeJournal validates the journal against this manager's sweep
@@ -297,124 +294,4 @@ func terminalState(res HostResult) journal.State {
 	default:
 		return journal.StateDone
 	}
-}
-
-// sweepJournaled is the shared body of SweepJournaled and Resume: scan
-// every host without a committed terminal record, journal transitions,
-// enforce the error budget, and merge the halves into a sealed report.
-func (mgr *Manager) sweepJournaled(kind SweepKind, workers int, j *journal.Journal, replay map[string]*hostReplay) (*Report, error) {
-	mgr.ensureSorted()
-	rep := &Report{Kind: kind}
-	results := make([]HostResult, len(mgr.hosts))
-	scanned := make([]bool, len(mgr.hosts))
-	var toRun []int
-	failed := 0
-	for i, h := range mgr.hosts {
-		hr := replay[h.Name]
-		if hr != nil && hr.committed != nil {
-			results[i] = *hr.committed
-			scanned[i] = true
-			rep.Replayed = append(rep.Replayed, h.Name)
-			if results[i].Err != "" || results[i].Quarantined {
-				failed++
-			}
-			if mgr.OnResult != nil {
-				mgr.OnResult(results[i])
-			}
-			continue
-		}
-		toRun = append(toRun, i)
-	}
-
-	// Journal appends happen on worker goroutines; the first write
-	// failure aborts the sweep loudly — a sweep that cannot commit its
-	// progress must not pretend to be durable.
-	var (
-		appendErrOnce sync.Once
-		appendErr     error
-		stop          = make(chan struct{})
-		stopOnce      sync.Once
-	)
-	halt := func(err error) {
-		appendErrOnce.Do(func() { appendErr = err })
-		stopOnce.Do(func() { close(stop) })
-	}
-	append_ := func(rec journal.Record) {
-		if _, err := j.Append(rec); err != nil {
-			halt(err)
-		}
-	}
-
-	scan := func(h *Host) HostResult {
-		var prior hostReplay
-		if hr := replay[h.Name]; hr != nil {
-			prior = *hr
-		}
-		res := mgr.runHostFrom(h, kind, prior.attempts, prior.dangling, func(attempt int) {
-			append_(journal.Record{State: journal.StateRunning, Host: h.Name, Attempt: attempt})
-		})
-		return res
-	}
-
-	total := len(mgr.hosts)
-	for ir := range mgr.scheduleHosts(workers, toRun, stop, scan) {
-		res := ir.r
-		if res.Kind == "" {
-			res.Kind = kind // panic-captured results carry only Host and Err
-		}
-		res.Hash = ResultHash(res)
-		results[ir.i] = res
-		scanned[ir.i] = true
-		if mgr.OnResult != nil {
-			mgr.OnResult(res)
-		}
-		state := terminalState(res)
-		resJSON, err := json.Marshal(res)
-		if err != nil {
-			halt(fmt.Errorf("fleet: marshal result for %s: %w", res.Host, err))
-			continue
-		}
-		rec := journal.Record{
-			State: state, Host: res.Host, Attempt: res.Attempts,
-			ElapsedNs: int64(res.Elapsed), RetryNs: int64(res.RetryNs),
-			ResultHash: res.Hash, Result: resJSON,
-		}
-		if res.Quarantined {
-			rec.Reason = fmt.Sprintf("circuit breaker open: %d consecutive failed attempts", mgr.BreakerThreshold)
-		}
-		append_(rec)
-		if res.Err != "" || res.Quarantined {
-			failed++
-			if f := mgr.AbortAfterFailureFraction; f > 0 && float64(failed) > f*float64(total) && !rep.Aborted {
-				rep.Aborted = true
-				rep.AbortReason = fmt.Sprintf("error budget exceeded: %d of %d hosts failed (budget %.0f%%) — aborting sweep",
-					failed, total, f*100)
-				append_(journal.Record{State: journal.StateAborted, Reason: rep.AbortReason})
-				stopOnce.Do(func() { close(stop) })
-			}
-		}
-	}
-	if appendErr != nil {
-		return nil, appendErr
-	}
-
-	// Merge: completed hosts in host order; the abort's unvisited hosts
-	// listed, not silently absent.
-	merged := make([]HostResult, 0, total)
-	for i, h := range mgr.hosts {
-		if !scanned[i] {
-			rep.NotScanned = append(rep.NotScanned, h.Name)
-			continue
-		}
-		merged = append(merged, results[i])
-		if results[i].Quarantined {
-			rep.Quarantined = append(rep.Quarantined, h.Name)
-		}
-	}
-	rep.Results = merged
-	sort.Strings(rep.Quarantined)
-	sort.Strings(rep.Replayed)
-	sort.Strings(rep.NotScanned)
-	rep.Seal()
-	return rep, nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -64,10 +65,7 @@ func truncateAfterRunning(t *testing.T, path string, host string) {
 func TestJournaledSweepRecordsAndSeals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
 	mgr := journaledFleet(t)
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := sweep(t, mgr, Plan{Workers: 1, Journal: path})
 	if err := rep.Verify(); err != nil {
 		t.Fatalf("fresh sweep report fails verification: %v", err)
 	}
@@ -126,20 +124,14 @@ func TestResumeReplaysCommittedHosts(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sweep.gbj")
-			full, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			full, _ := sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
 			// Crash right after hosts a and b committed; the torn variant
 			// leaves a partial record after the cut.
 			truncateAfterCommits(t, path, 2, torn)
 
 			mgr2 := journaledFleet(t)
 			clockBefore := mgrHost(t, mgr2, hostName(0)).Clock.Now()
-			resumed, err := mgr2.Resume(SweepInside, 1, path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumed, _ := sweep(t, mgr2, Plan{Workers: 1, Journal: path, Mode: ModeResume})
 			if err := resumed.Verify(); err != nil {
 				t.Fatalf("resumed report fails verification: %v", err)
 			}
@@ -176,16 +168,11 @@ func TestResumeReplaysCommittedHosts(t *testing.T) {
 // carried forward, so the crash shows up in the accounting.
 func TestResumeContinuesAttemptNumbering(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
-		t.Fatal(err)
-	}
+	sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
 	// Crash with host c in flight: its running record committed, its
 	// terminal record lost.
 	truncateAfterRunning(t, path, hostName(2))
-	resumed, err := journaledFleet(t).Resume(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed, _ := sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path, Mode: ModeResume})
 	var c HostResult
 	for _, hr := range resumed.Results {
 		if hr.Host == hostName(2) {
@@ -217,16 +204,14 @@ func TestResumeContinuesAttemptNumbering(t *testing.T) {
 }
 
 // TestResumeRejectsTamperedResult: a journal whose committed result was
-// rewritten must fail Resume loudly, at either tamper-evidence layer —
+// rewritten must fail a resume loudly, at either tamper-evidence layer —
 // a stale record hash, or a recomputed hash over reports whose own
 // digests no longer verify.
 func TestResumeRejectsTamperedResult(t *testing.T) {
 	build := func(t *testing.T, mutate func(*journal.Record, *HostResult)) string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "sweep.gbj")
-		if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
-			t.Fatal(err)
-		}
+		sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
 		recs, _, err := journal.Read(path)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +250,7 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 			res.Infected = false
 			res.Hidden = 0
 		})
-		_, err := journaledFleet(t).Resume(SweepInside, 1, path)
+		_, err := journaledFleet(t).Run(context.Background(), Plan{Workers: 1, Journal: path, Mode: ModeResume})
 		if err == nil || !strings.Contains(err.Error(), "hash verification") {
 			t.Fatalf("tampered journal resumed: %v", err)
 		}
@@ -282,7 +267,7 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 			res.Hidden = 0
 			rec.ResultHash = ResultHash(*res)
 		})
-		_, err := journaledFleet(t).Resume(SweepInside, 1, path)
+		_, err := journaledFleet(t).Run(context.Background(), Plan{Workers: 1, Journal: path, Mode: ModeResume})
 		if err == nil || !strings.Contains(err.Error(), "altered after sealing") {
 			t.Fatalf("re-hashed tampered journal resumed: %v", err)
 		}
@@ -293,29 +278,25 @@ func TestResumeRejectsTamperedResult(t *testing.T) {
 // different fleet is an operator error, caught before any scanning.
 func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := journaledFleet(t).Resume(SweepOutside, 1, path); err == nil {
+	sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
+	if _, err := journaledFleet(t).Run(context.Background(), Plan{Kind: SweepOutside, Workers: 1, Journal: path, Mode: ModeResume}); err == nil {
 		t.Error("resumed an inside journal as an outside sweep")
 	}
-	if _, err := buildFleet(t, 2, nil).Resume(SweepInside, 1, path); err == nil {
+	if _, err := buildFleet(t, 2, nil).Run(context.Background(), Plan{Workers: 1, Journal: path, Mode: ModeResume}); err == nil {
 		t.Error("resumed a 4-host journal on a 2-host fleet")
 	}
 }
 
 // TestResumeInteriorCorruptionIsLoud: a bit flipped inside the journal
-// body (not the recoverable torn tail) must fail Resume, not silently
+// body (not the recoverable torn tail) must fail a resume, not silently
 // drop records.
 func TestResumeInteriorCorruptionIsLoud(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	if _, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path); err != nil {
-		t.Fatal(err)
-	}
+	sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
 	if err := journal.Corrupt(path, faultinject.KindFlip, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := journaledFleet(t).Resume(SweepInside, 1, path); err == nil {
+	if _, err := journaledFleet(t).Run(context.Background(), Plan{Workers: 1, Journal: path, Mode: ModeResume}); err == nil {
 		t.Fatal("bit-flipped journal resumed silently")
 	}
 }
@@ -326,14 +307,11 @@ func TestResumeInteriorCorruptionIsLoud(t *testing.T) {
 func TestBreakerQuarantinesHost(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
 	mgr := buildFleet(t, 3, nil)
-	mgr.MaxRetries = 5
-	mgr.BreakerThreshold = 2
+	mgr.Retry.MaxRetries = 5
+	mgr.Retry.BreakerThreshold = 2
 	mgrHost(t, mgr, hostName(1)).Disk = nil // every attempt panics
 
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := sweep(t, mgr, Plan{Workers: 1, Journal: path})
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != hostName(1) {
 		t.Fatalf("quarantined = %v, want [%s]", rep.Quarantined, hostName(1))
 	}
@@ -375,9 +353,7 @@ func TestBreakerQuarantinesHost(t *testing.T) {
 func TestBreakerCountsAcrossResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
 	mgr := buildFleet(t, 2, nil)
-	if _, err := mgr.SweepJournaled(SweepInside, 1, path); err != nil {
-		t.Fatal(err)
-	}
+	sweep(t, mgr, Plan{Workers: 1, Journal: path})
 	// Rewind to host a's running record, then add a second dangling
 	// attempt: simulate two prior runs that each died inside a's scan.
 	truncateAfterRunning(t, path, hostName(0))
@@ -391,13 +367,10 @@ func TestBreakerCountsAcrossResume(t *testing.T) {
 	j.Close()
 
 	mgr2 := buildFleet(t, 2, nil)
-	mgr2.BreakerThreshold = 3
-	mgr2.MaxRetries = 5
+	mgr2.Retry.BreakerThreshold = 3
+	mgr2.Retry.MaxRetries = 5
 	mgrHost(t, mgr2, hostName(0)).Disk = nil // still broken after the resume
-	rep, err := mgr2.Resume(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := sweep(t, mgr2, Plan{Workers: 1, Journal: path, Mode: ModeResume})
 	var a HostResult
 	for _, hr := range rep.Results {
 		if hr.Host == hostName(0) {
@@ -424,10 +397,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 	mgrHost(t, mgr, hostName(0)).Disk = nil
 	mgrHost(t, mgr, hostName(1)).Disk = nil
 
-	rep, err := mgr.SweepJournaled(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := sweep(t, mgr, Plan{Workers: 1, Journal: path})
 	if !rep.Aborted || !strings.Contains(rep.AbortReason, "error budget") {
 		t.Fatalf("sweep not aborted: %+v", rep)
 	}
@@ -464,10 +434,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 	// Resuming past the abort finishes the fleet: the abort record is
 	// an operator note, not a tombstone.
 	mgr2 := buildFleet(t, 4, nil)
-	resumed, err := mgr2.Resume(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed, _ := sweep(t, mgr2, Plan{Workers: 1, Journal: path, Mode: ModeResume})
 	if len(resumed.NotScanned) != 0 || len(resumed.Results) != 4 {
 		t.Fatalf("resume did not finish aborted sweep: %+v", resumed)
 	}
@@ -477,10 +444,7 @@ func TestAbortAfterFailureFraction(t *testing.T) {
 // report fails Verify.
 func TestFleetReportTamperEvident(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.gbj")
-	rep, err := journaledFleet(t).SweepJournaled(SweepInside, 1, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := sweep(t, journaledFleet(t), Plan{Workers: 1, Journal: path})
 	tamper := map[string]func(*Report){
 		"flip verdict":    func(r *Report) { r.Results[1].Infected = false; r.Results[1].Hidden = 0 },
 		"drop host":       func(r *Report) { r.Results = r.Results[:3] },
@@ -516,7 +480,7 @@ func TestFleetReportTamperEvident(t *testing.T) {
 // took is not part of the verdict.
 func TestResultHashExcludesRetryAccounting(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
-	r := mgr.InsideSweep()[0]
+	r := insideSweep(t, mgr)[0]
 	a := r
 	b := r
 	b.Elapsed *= 3

@@ -7,6 +7,7 @@ import (
 
 	"ghostbuster/internal/faultinject"
 	"ghostbuster/internal/ghostware"
+	"ghostbuster/internal/supervise"
 )
 
 // armHost installs and arms a fault plan on the named host's machine.
@@ -26,13 +27,13 @@ func armHost(t *testing.T, mgr *Manager, name string, faults ...faultinject.Faul
 // of Elapsed.
 func TestRetryRecoversTransientFault(t *testing.T) {
 	mgr := buildFleet(t, 2, nil)
-	mgr.MaxRetries = 2
+	mgr.Retry.MaxRetries = 2
 	armHost(t, mgr, hostName(0),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1})
 	m := mgrHost(t, mgr, hostName(0))
 	clockStart := m.Clock.Now()
 
-	results := mgr.InsideSweep()
+	results := insideSweep(t, mgr)
 	r := results[0]
 	if r.Err != "" || r.Degraded != 0 {
 		t.Fatalf("retried host not clean: err=%q degraded=%d", r.Err, r.Degraded)
@@ -64,12 +65,12 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 // attached, and the attempt count records the whole story.
 func TestRetryExhaustionKeepsDegradedResult(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
-	mgr.MaxRetries = 2
-	mgr.RetryBackoff = time.Second
+	mgr.Retry.MaxRetries = 2
+	mgr.Retry.Backoff = time.Second
 	armHost(t, mgr, hostName(0),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1 << 20})
 
-	r := mgr.InsideSweep()[0]
+	r := insideSweep(t, mgr)[0]
 	if r.Degraded == 0 {
 		t.Fatal("persistent fault left no degradation")
 	}
@@ -95,7 +96,7 @@ func TestRetryDisabledByDefault(t *testing.T) {
 	armHost(t, mgr, hostName(0),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1})
 
-	r := mgr.InsideSweep()[0]
+	r := insideSweep(t, mgr)[0]
 	if r.Degraded == 0 {
 		t.Fatal("fault did not degrade the sweep")
 	}
@@ -111,7 +112,7 @@ func TestHostDeadlineDegradesNotErrors(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
 	mgr.HostDeadline = time.Nanosecond
 
-	r := mgr.InsideSweep()[0]
+	r := insideSweep(t, mgr)[0]
 	if r.Err != "" {
 		t.Fatalf("deadline surfaced as host error: %q", r.Err)
 	}
@@ -137,7 +138,8 @@ func TestScanPanicBecomesHostError(t *testing.T) {
 	mgr := buildFleet(t, 3, nil)
 	mgrHost(t, mgr, hostName(1)).Disk = nil // detonates at scan entry
 
-	results := mgr.Sweep(SweepInside, 2)
+	rep, _ := sweep(t, mgr, Plan{Workers: 2})
+	results := rep.Results
 	if len(results) != 3 {
 		t.Fatalf("sweep lost results: %d of 3", len(results))
 	}
@@ -156,16 +158,16 @@ func TestScanPanicBecomesHostError(t *testing.T) {
 // still convicted on the clean retry.
 func TestRetriedSweepStillDetects(t *testing.T) {
 	mgr := buildFleet(t, 2, map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()})
-	mgr.MaxRetries = 1
+	mgr.Retry.MaxRetries = 1
 	armHost(t, mgr, hostName(1),
 		faultinject.Fault{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1})
 
-	s := Summarize(mgr.InsideSweep())
-	if len(s.Errors) != 0 {
-		t.Fatalf("errors = %v", s.Errors)
+	rep, _ := sweep(t, mgr, Plan{Workers: 1})
+	if errs := hostErrors(rep.Results); len(errs) != 0 {
+		t.Fatalf("errors = %v", errs)
 	}
-	if len(s.Infected) != 1 || s.Infected[0] != hostName(1) {
-		t.Fatalf("infected = %v, want exactly %s", s.Infected, hostName(1))
+	if got := rep.Infected(); len(got) != 1 || got[0] != hostName(1) {
+		t.Fatalf("infected = %v, want exactly %s", got, hostName(1))
 	}
 }
 
@@ -175,13 +177,13 @@ func TestRetriedSweepStillDetects(t *testing.T) {
 // invariant (clock delta = Elapsed + RetryNs) holds exactly.
 func TestRetryNsDeadlineOnFinalAttempt(t *testing.T) {
 	mgr := buildFleet(t, 1, nil)
-	mgr.MaxRetries = 1
-	mgr.RetryBackoff = time.Second
+	mgr.Retry.MaxRetries = 1
+	mgr.Retry.Backoff = time.Second
 	mgr.HostDeadline = time.Nanosecond
 	m := mgrHost(t, mgr, hostName(0))
 	clockStart := m.Clock.Now()
 
-	r := mgr.InsideSweep()[0]
+	r := insideSweep(t, mgr)[0]
 	if r.Err != "" {
 		t.Fatalf("deadline surfaced as host error: %q", r.Err)
 	}
@@ -201,21 +203,25 @@ func TestRetryNsDeadlineOnFinalAttempt(t *testing.T) {
 	}
 }
 
-// TestBackoffCapSaturates: doubling stops at maxRetryBackoff, so a
-// huge MaxRetries cannot overflow time.Duration into a negative wait.
+// TestBackoffCapSaturates: a host retried far past where naive
+// doubling overflows int64 still waits a positive, capped amount each
+// time — the per-host loop saturates at supervise.MaxRetryBackoff — so
+// its RetryNs is the exact saturated schedule, never negative.
 func TestBackoffCapSaturates(t *testing.T) {
-	b := defaultRetryBackoff
-	for i := 0; i < 200; i++ { // far past where naive doubling overflows int64
-		b = nextBackoff(b)
-		if b <= 0 || b > maxRetryBackoff {
-			t.Fatalf("backoff escaped [0, %v] after %d doublings: %v", maxRetryBackoff, i+1, b)
-		}
+	const retries, elapsed = 100, time.Millisecond
+	mgr := NewManager()
+	addSynthetic(mgr, 1)
+	mgr.ScanHost = func(h *Host, kind SweepKind) HostResult {
+		return HostResult{Host: h.Name, Kind: kind, Err: "disk: read fault", Elapsed: elapsed}
 	}
-	if b != maxRetryBackoff {
-		t.Errorf("backoff saturated at %v, want %v", b, maxRetryBackoff)
+	mgr.Retry.MaxRetries = retries
+	r := insideSweep(t, mgr)[0]
+	if r.Attempts != retries+1 {
+		t.Fatalf("attempts = %d, want %d", r.Attempts, retries+1)
 	}
-	// A configured backoff above the cap is clamped, not honored.
-	if got := nextBackoff(48 * time.Hour); got != maxRetryBackoff {
-		t.Errorf("nextBackoff(48h) = %v, want cap %v", got, maxRetryBackoff)
+	// Waits 2s, 4s, ... 256s (510s in all), then 92 waits at the 5m cap.
+	want := retries*elapsed + 510*time.Second + (retries-8)*supervise.MaxRetryBackoff
+	if r.RetryNs != want {
+		t.Errorf("retryNs = %v, want the saturated schedule %v", r.RetryNs, want)
 	}
 }

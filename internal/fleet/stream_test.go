@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,25 +12,24 @@ import (
 	"ghostbuster/internal/machine"
 )
 
-// TestStreamedSweepMatchesJournaled: the bounded-memory streaming sweep
-// must reach exactly the verdicts (and the same host-content
-// accumulator) as the classic journaled sweep over an identical fleet.
+// TestStreamedSweepMatchesJournaled: the bounded-memory summary must
+// reach exactly the verdicts (and the same host-content accumulator)
+// as the Report a collector seals over an identical fleet.
 func TestStreamedSweepMatchesJournaled(t *testing.T) {
 	infections := map[int]ghostware.Ghostware{1: ghostware.NewHackerDefender()}
 	dir := t.TempDir()
 
-	classic, err := buildFleet(t, 3, infections).SweepJournaled(SweepInside, 2, filepath.Join(dir, "classic.gbj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAcc, err := AccumulateReport(classic)
-	if err != nil {
-		t.Fatal(err)
+	classic, _ := sweep(t, buildFleet(t, 3, infections), Plan{Workers: 2, Journal: filepath.Join(dir, "classic.gbj")})
+	var wantAcc Accumulator
+	for _, hr := range classic.Results {
+		wantAcc.Fold(hr.Host, hr.Hash)
 	}
 
 	seen := map[string]int{}
-	sum, err := buildFleet(t, 3, infections).SweepJournaledStream(SweepInside, 2, filepath.Join(dir, "stream.gbj"),
-		func(res HostResult) { seen[res.Host]++ })
+	sum, err := buildFleet(t, 3, infections).Run(context.Background(), Plan{
+		Workers: 2, Journal: filepath.Join(dir, "stream.gbj"),
+		Sink: func(res HostResult) { seen[res.Host]++ },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStreamedResumeReproducesSummaryDigest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.gbj")
 
-	ref, err := buildFleet(t, 3, infections).SweepJournaledStream(SweepInside, 1, path, nil)
+	ref, err := buildFleet(t, 3, infections).Run(context.Background(), Plan{Workers: 1, Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,11 @@ func TestStreamedResumeReproducesSummaryDigest(t *testing.T) {
 	if _, err := journal.TruncateRecords(path, 1+3+3, false); err != nil {
 		t.Fatal(err)
 	}
-	replayed := 0
-	resumed, err := buildFleet(t, 3, infections).ResumeStream(SweepInside, 1, path,
-		func(res HostResult) { _ = res })
+	resumed, err := buildFleet(t, 3, infections).Run(context.Background(), Plan{Workers: 1, Journal: path, Mode: ModeResume})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed = resumed.Replayed
-	if replayed == 0 {
+	if resumed.Replayed == 0 {
 		t.Error("resume replayed nothing — committed work was re-scanned or lost")
 	}
 	if resumed.Digest != ref.Digest {
@@ -108,7 +105,7 @@ func TestLazyHostsBuildOnceAndRelease(t *testing.T) {
 			return machine.New(p)
 		})
 	}
-	sum, err := mgr.SweepStreamed(SweepInside, 1, nil)
+	sum, err := mgr.Run(context.Background(), Plan{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +139,7 @@ func TestResidentGaugeBoundsStreamedSweep(t *testing.T) {
 	}
 	gauge := &ResidentGauge{}
 	mgr.Resident = gauge
-	sum, err := mgr.SweepStreamed(SweepInside, workers, nil)
+	sum, err := mgr.Run(context.Background(), Plan{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestResidentGaugeBoundsStreamedSweep(t *testing.T) {
 // any post-hoc edit to the summary's verdict fields.
 func TestSweepSummaryDigestDetectsTamper(t *testing.T) {
 	sum, err := buildFleet(t, 2, map[int]ghostware.Ghostware{0: ghostware.NewBerbew()}).
-		SweepStreamed(SweepInside, 1, nil)
+		Run(context.Background(), Plan{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,24 +172,5 @@ func TestSweepSummaryDigestDetectsTamper(t *testing.T) {
 	tampered.Infected = 0
 	if err := tampered.VerifyDigest(); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Errorf("tampered summary verified: %v", err)
-	}
-}
-
-// TestNextBackoffSharedSaturation: the exported saturation rule is the
-// same one the per-host retry loop uses — doubling stops exactly at
-// MaxRetryBackoff from any starting point.
-func TestNextBackoffSharedSaturation(t *testing.T) {
-	b := 2 * time.Second
-	for i := 0; i < 100; i++ {
-		b = NextBackoff(b)
-		if b <= 0 || b > MaxRetryBackoff {
-			t.Fatalf("backoff escaped (0, %v] after %d doublings: %v", MaxRetryBackoff, i+1, b)
-		}
-	}
-	if b != MaxRetryBackoff {
-		t.Errorf("backoff saturated at %v, want %v", b, MaxRetryBackoff)
-	}
-	if got := NextBackoff(48 * time.Hour); got != MaxRetryBackoff {
-		t.Errorf("NextBackoff(48h) = %v, want cap %v", got, MaxRetryBackoff)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"ghostbuster/internal/core"
+	"ghostbuster/internal/supervise"
 )
 
 // syntheticBody is a deterministic ScanHost seam: the verdict depends
@@ -59,7 +61,7 @@ func TestHedgedSweepMatchesUnhedgedDigest(t *testing.T) {
 	ref := NewManager()
 	addSynthetic(ref, n)
 	ref.ScanHost = syntheticBody
-	want, err := ref.SweepStreamed(SweepInside, 3, nil)
+	want, err := ref.Run(context.Background(), Plan{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestHedgedSweepMatchesUnhedgedDigest(t *testing.T) {
 	mgr.ScanHost = stragglerBody(hostName(n-1), 400*time.Millisecond)
 	mgr.Hedge = testHedge()
 	seen := map[string]int{}
-	sum, err := mgr.SweepStreamed(SweepInside, 3, func(res HostResult) { seen[res.Host]++ })
+	sum, err := mgr.Run(context.Background(), Plan{Workers: 3, Sink: func(res HostResult) { seen[res.Host]++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestHedgedJournaledSweepReplaysClean(t *testing.T) {
 	ref := NewManager()
 	addSynthetic(ref, n)
 	ref.ScanHost = syntheticBody
-	want, err := ref.SweepJournaledStream(SweepInside, 2, filepath.Join(dir, "ref.gbj"), nil)
+	want, err := ref.Run(context.Background(), Plan{Workers: 2, Journal: filepath.Join(dir, "ref.gbj")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestHedgedJournaledSweepReplaysClean(t *testing.T) {
 	addSynthetic(mgr, n)
 	mgr.ScanHost = stragglerBody(hostName(n-1), 400*time.Millisecond)
 	mgr.Hedge = testHedge()
-	sum, err := mgr.SweepJournaledStream(SweepInside, 2, path, nil)
+	sum, err := mgr.Run(context.Background(), Plan{Workers: 2, Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestHedgedJournaledSweepReplaysClean(t *testing.T) {
 		t.Errorf("resume of a complete hedged journal re-scanned %s", h.Name)
 		return syntheticBody(h, kind)
 	}
-	resumed, err := re.ResumeStream(SweepInside, 2, path, nil)
+	resumed, err := re.Run(context.Background(), Plan{Workers: 2, Journal: path, Mode: ModeResume})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestHedgedJournaledSweepReplaysClean(t *testing.T) {
 	}
 }
 
-// TestCancelSealsPartialSummaryAndResumes: closing Manager.Cancel
+// TestCancelSealsPartialSummaryAndResumes: cancelling Run's context
 // mid-sweep must stop host issuance, seal the journal at the last
 // committed record, and return an Interrupted partial summary whose
 // committed work a later resume completes into the uninterrupted
@@ -157,7 +159,7 @@ func TestCancelSealsPartialSummaryAndResumes(t *testing.T) {
 	ref := NewManager()
 	addSynthetic(ref, n)
 	ref.ScanHost = syntheticBody
-	want, err := ref.SweepJournaledStream(SweepInside, 2, filepath.Join(dir, "ref.gbj"), nil)
+	want, err := ref.Run(context.Background(), Plan{Workers: 2, Journal: filepath.Join(dir, "ref.gbj")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +168,8 @@ func TestCancelSealsPartialSummaryAndResumes(t *testing.T) {
 	// cannot outrun the cancel; commits from other hosts trigger it.
 	gate := make(chan struct{})
 	var first, release sync.Once
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	path := filepath.Join(dir, "cut.gbj")
 	mgr := NewManager()
 	addSynthetic(mgr, n)
@@ -181,14 +183,13 @@ func TestCancelSealsPartialSummaryAndResumes(t *testing.T) {
 		}
 		return syntheticBody(h, kind)
 	}
-	mgr.Cancel = cancel
 	committed := 0
-	sum, err := mgr.SweepJournaledStream(SweepInside, 2, path, func(res HostResult) {
+	sum, err := mgr.Run(ctx, Plan{Workers: 2, Journal: path, Sink: func(res HostResult) {
 		committed++
 		if committed == 2 {
-			cancelOnce.Do(func() { close(cancel) })
+			cancel()
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestCancelSealsPartialSummaryAndResumes(t *testing.T) {
 	re := NewManager()
 	addSynthetic(re, n)
 	re.ScanHost = syntheticBody
-	resumed, err := re.ResumeStream(SweepInside, 2, path, nil)
+	resumed, err := re.Run(context.Background(), Plan{Workers: 2, Journal: path, Mode: ModeResume})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,34 +250,6 @@ func TestResultCancelledDetectsCasualties(t *testing.T) {
 	}
 }
 
-// TestJitteredBackoffDeterministicBoundedCapped: full jitter is a pure
-// function of (seed, tags) — same inputs, same wait — every jittered
-// wait stays within [1, backoff], the saturation cap still binds, and
-// seed zero is the exact legacy schedule.
-func TestJitteredBackoffDeterministicBoundedCapped(t *testing.T) {
-	cur := 32 * time.Second
-	if a, b := JitteredBackoff(cur, 42, 7, 3), JitteredBackoff(cur, 42, 7, 3); a != b {
-		t.Errorf("same (seed, tags) gave %v then %v", a, b)
-	}
-	distinct := map[time.Duration]bool{}
-	for tag := uint64(0); tag < 64; tag++ {
-		w := JitteredBackoff(cur, 42, tag, 1)
-		if w < 1 || w > cur {
-			t.Fatalf("jittered wait %v escaped [1, %v]", w, cur)
-		}
-		distinct[w] = true
-	}
-	if len(distinct) < 2 {
-		t.Error("64 hosts drew identical jitter — the herd still thunders")
-	}
-	if w := JitteredBackoff(48*time.Hour, 42, 1); w > MaxRetryBackoff {
-		t.Errorf("jitter above the saturation cap: %v", w)
-	}
-	if w := JitteredBackoff(cur, 0, 7, 3); w != cur {
-		t.Errorf("seed 0 changed the wait: %v != %v", w, cur)
-	}
-}
-
 // TestJitteredRetryPreservesVerdicts: a retried sweep with jitter
 // enabled reaches the same verdicts as the zero-jitter schedule — the
 // jitter only moves waits, never outcomes — and every retried host's
@@ -292,10 +265,8 @@ func TestJitteredRetryPreservesVerdicts(t *testing.T) {
 			}
 			return syntheticBody(h, kind)
 		}
-		mgr.MaxRetries = 2
-		mgr.RetryBackoff = 2 * time.Second
-		mgr.BackoffJitterSeed = seed
-		sum, err := mgr.SweepStreamed(SweepInside, 2, nil)
+		mgr.Retry = supervise.RetryPolicy{MaxRetries: 2, Backoff: 2 * time.Second, JitterSeed: seed}
+		sum, err := mgr.Run(context.Background(), Plan{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,5 +284,32 @@ func TestJitteredRetryPreservesVerdicts(t *testing.T) {
 	// virtual cost can only shrink.
 	if jittered.VirtualNs > plain.VirtualNs {
 		t.Errorf("jittered virtual cost %d exceeds zero-jitter %d", jittered.VirtualNs, plain.VirtualNs)
+	}
+}
+
+// TestHedgedReportMatchesUnhedgedDigest: hedging lives in the one sweep
+// loop, so a journaled, Report-producing run over lazy hosts hedges its
+// straggler too, and the sealed report carries the unhedged digest.
+func TestHedgedReportMatchesUnhedgedDigest(t *testing.T) {
+	const n = 10
+	dir := t.TempDir()
+	ref := NewManager()
+	addSynthetic(ref, n)
+	ref.ScanHost = syntheticBody
+	want, _ := sweep(t, ref, Plan{Workers: 2, Journal: filepath.Join(dir, "ref.gbj")})
+
+	mgr := NewManager()
+	addSynthetic(mgr, n)
+	mgr.ScanHost = stragglerBody(hostName(n-1), 400*time.Millisecond)
+	mgr.Hedge = testHedge()
+	rep, sum := sweep(t, mgr, Plan{Workers: 2, Journal: filepath.Join(dir, "hedged.gbj")})
+	if sum.Hedged == 0 {
+		t.Fatal("journaled report run never hedged its straggler")
+	}
+	if rep.Digest != want.Digest {
+		t.Errorf("hedged report digest %.12s != unhedged %.12s", rep.Digest, want.Digest)
+	}
+	if err := rep.Verify(); err != nil {
+		t.Errorf("hedged report fails verification: %v", err)
 	}
 }

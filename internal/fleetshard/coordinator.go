@@ -9,6 +9,7 @@
 package fleetshard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,7 +73,7 @@ type Config struct {
 
 	// ShardMaxRetries re-runs a failed shard sweep this many extra
 	// times, with a doubling backoff capped by the same saturation rule
-	// as host retries (fleet.NextBackoff).
+	// as host retries (both levels drive supervise.RetryPolicy).
 	ShardMaxRetries int
 	// ShardRetryBackoff is the first shard retry wait; 0 means 2s.
 	ShardRetryBackoff time.Duration
@@ -118,13 +119,10 @@ type Config struct {
 	// fleet.HedgePolicy).
 	Hedge *fleet.HedgePolicy
 	// BackoffJitterSeed applies deterministic full jitter to host- and
-	// shard-level retry backoff waits (see fleet.JitteredBackoff). Zero
-	// keeps the exact doubling schedule.
+	// shard-level retry backoff waits (see supervise.RetryPolicy
+	// JitterSeed). Zero keeps the exact doubling schedule.
 	BackoffJitterSeed int64
 }
-
-// defaultShardRetryBackoff mirrors the fleet manager's default.
-const defaultShardRetryBackoff = 2 * time.Second
 
 // manifestName is the coordinator manifest file inside JournalDir.
 const manifestName = "coordinator.json"
@@ -966,46 +964,39 @@ func (c *Coordinator) failoverWedged(lj *liveJob, sum *fleet.SweepSummary, st *s
 	return nil
 }
 
-// runShardWithRetry runs one shard's tasks with the shard-level retry
-// loop: doubling backoff capped by the shared fleet.NextBackoff rule
-// (with deterministic full jitter when Config.BackoffJitterSeed is
-// set), a consecutive-failure circuit breaker, and journal-aware
-// retries (a retried journaled task resumes the journal its failed
-// attempt left behind instead of re-scanning committed hosts). A wedged
-// attempt returns immediately, never retried: its unfinished work is
-// failing over to other shards, and re-running it here would commit
-// those hosts twice.
+// runShardWithRetry runs one shard's tasks under the shard-level retry
+// policy — the same supervise.RetryPolicy the per-host loop drives
+// (doubling capped backoff, deterministic full jitter when
+// Config.BackoffJitterSeed is set, a consecutive-failure circuit
+// breaker) — with journal-aware retries: a retried journaled task
+// resumes the journal its failed attempt left behind instead of
+// re-scanning committed hosts. A wedged attempt returns immediately,
+// never retried: its unfinished work is failing over to other shards,
+// and re-running it here would commit those hosts twice.
 func (c *Coordinator) runShardWithRetry(lj *liveJob, sup *supervise.Supervisor, gauge *fleet.ResidentGauge) (sum *fleet.SweepSummary, attempts int, retryNs int64, quarantined, wedged bool, err error) {
 	job := lj.job
-	backoff := c.cfg.ShardRetryBackoff
-	if backoff <= 0 {
-		backoff = defaultShardRetryBackoff
+	policy := supervise.RetryPolicy{
+		MaxRetries:       c.cfg.ShardMaxRetries,
+		Backoff:          c.cfg.ShardRetryBackoff,
+		BreakerThreshold: c.cfg.ShardBreakerThreshold,
+		JitterSeed:       c.cfg.BackoffJitterSeed,
 	}
-	if backoff > fleet.MaxRetryBackoff {
-		backoff = fleet.MaxRetryBackoff
-	}
-	consecFailed := 0
-	for attempt := 1; ; attempt++ {
-		attempts = attempt
-		sum, wedged, err = c.runShardOnce(lj, attempt, sup, gauge)
-		if err == nil {
-			return sum, attempts, retryNs, false, wedged, nil
-		}
-		consecFailed++
-		if t := c.cfg.ShardBreakerThreshold; t > 0 && consecFailed >= t {
+	rt := policy.Begin(uint64(job.shard), 0, 0)
+	for {
+		attempts = rt.Next()
+		sum, wedged, err = c.runShardOnce(lj, attempts, sup, gauge)
+		verdict, wait := rt.After(err == nil, err != nil)
+		switch {
+		case verdict == supervise.Quarantine:
 			return nil, attempts, retryNs, true, false, err
-		}
-		if attempt > c.cfg.ShardMaxRetries {
+		case verdict == supervise.Stand && err != nil:
 			return nil, attempts, retryNs, false, false, err
+		case verdict == supervise.Stand:
+			return sum, attempts, retryNs, false, wedged, nil
 		}
 		// Virtual wait: the coordinator has no machine clock; the backoff
 		// is charged to the shard's retry accounting.
-		wait := backoff
-		if c.cfg.BackoffJitterSeed != 0 {
-			wait = fleet.JitteredBackoff(backoff, c.cfg.BackoffJitterSeed, uint64(job.shard), uint64(attempt))
-		}
 		retryNs += int64(wait)
-		backoff = fleet.NextBackoff(backoff)
 		// A failed journaled attempt may have committed progress; resume
 		// what it left rather than re-scanning it.
 		for i := range job.tasks {
@@ -1021,10 +1012,10 @@ func (c *Coordinator) runShardWithRetry(lj *liveJob, sup *supervise.Supervisor, 
 // runShardOnce executes one attempt of a shard's tasks and merges the
 // per-task summaries into one sealed shard summary. With a supervisor,
 // each task runs under a watch beaten by every committed host result;
-// when the watch expires the task's manager is cancelled through its
-// Cancel channel, the task returns its partial (Interrupted) summary,
-// and the remaining tasks are skipped — their hosts join the failover
-// pool with the interrupted task's unfinished ones.
+// when the watch expires the task's context is cancelled, the task
+// returns its partial (Interrupted) summary, and the remaining tasks are
+// skipped — their hosts join the failover pool with the interrupted
+// task's unfinished ones.
 func (c *Coordinator) runShardOnce(lj *liveJob, attempt int, sup *supervise.Supervisor, gauge *fleet.ResidentGauge) (*fleet.SweepSummary, bool, error) {
 	job := lj.job
 	if c.cfg.ShardFault != nil {
@@ -1035,17 +1026,16 @@ func (c *Coordinator) runShardOnce(lj *liveJob, attempt int, sup *supervise.Supe
 	var combined *fleet.SweepSummary
 	wedged := false
 	for ti, t := range job.tasks {
-		var cancel chan struct{}
+		ctx, cancel := context.Background(), func() {}
 		watchID := ""
 		if sup != nil {
-			ch := make(chan struct{})
-			cancel = ch
+			ctx, cancel = context.WithCancel(ctx)
 			watchID = fmt.Sprintf("shard-%03d#%d.%d.%d", job.shard, lj.seq, attempt, ti)
-			sup.Watch(watchID, func() { close(ch) })
+			sup.Watch(watchID, cancel)
 		}
-		mgr := c.newShardManager(t.indices, gauge, cancel)
+		mgr := c.newShardManager(t.indices, gauge)
 		shard := job.shard
-		sink := func(res fleet.HostResult) {
+		plan := fleet.Plan{Kind: c.cfg.Kind, Workers: c.shardWorkers(), Journal: t.path, Sink: func(res fleet.HostResult) {
 			lj.commit(res.Host)
 			if sup != nil {
 				sup.Beat(watchID)
@@ -1053,39 +1043,34 @@ func (c *Coordinator) runShardOnce(lj *liveJob, attempt int, sup *supervise.Supe
 			if c.cfg.OnResult != nil {
 				c.cfg.OnResult(shard, res)
 			}
-		}
-		var (
-			sum *fleet.SweepSummary
-			err error
-		)
+		}}
 		switch {
 		case t.replayOnly:
-			sum, err = mgr.ReplayStream(c.cfg.Kind, t.path, sink)
-			if err == nil {
-				// The journal's unfinished hosts belong to the shards that
-				// adopted them; this summary accounts only what it replayed.
-				sum.Hosts = sum.Scanned
-				sum.NotScanned = 0
-			}
-		case t.path == "":
-			sum, err = mgr.SweepStreamed(c.cfg.Kind, c.shardWorkers(), sink)
+			plan.Mode = fleet.ModeReplay
 		case t.resume:
-			sum, err = mgr.ResumeStream(c.cfg.Kind, c.shardWorkers(), t.path, sink)
-			if errors.Is(err, fleet.ErrEmptyJournal) {
-				// The shard died before its journal header committed:
-				// nothing in the file is trusted or replayable, and this
-				// coordinator owns the shard's host assignment, so restart
-				// the task's sweep from scratch (Create truncates the husk).
-				sum, err = mgr.SweepJournaledStream(c.cfg.Kind, c.shardWorkers(), t.path, sink)
-			}
-		default:
-			sum, err = mgr.SweepJournaledStream(c.cfg.Kind, c.shardWorkers(), t.path, sink)
+			plan.Mode = fleet.ModeResume
+		}
+		sum, err := mgr.Run(ctx, plan)
+		if plan.Mode == fleet.ModeResume && errors.Is(err, fleet.ErrEmptyJournal) {
+			// The shard died before its journal header committed: nothing
+			// in the file is trusted or replayable, and this coordinator
+			// owns the shard's host assignment, so restart the task's sweep
+			// from scratch (a fresh journal truncates the husk).
+			plan.Mode = fleet.ModeFresh
+			sum, err = mgr.Run(ctx, plan)
 		}
 		if sup != nil {
 			sup.Done(watchID)
 		}
+		cancel()
 		if err != nil {
 			return nil, false, fmt.Errorf("fleetshard: shard %d: %w", job.shard, err)
+		}
+		if t.replayOnly {
+			// The journal's unfinished hosts belong to the shards that
+			// adopted them; this summary accounts only what it replayed.
+			sum.Hosts = sum.Scanned
+			sum.NotScanned = 0
 		}
 		if combined == nil {
 			combined = sum
@@ -1114,24 +1099,23 @@ func (c *Coordinator) shardWorkers() int {
 }
 
 // newShardManager builds the fleet.Manager for one task's host subset,
-// forwarding the host-level knobs (including the supervision trio:
-// cancel channel, hedge policy, jitter seed) and lazy-building every
-// host.
-func (c *Coordinator) newShardManager(indices []int, gauge *fleet.ResidentGauge, cancel <-chan struct{}) *fleet.Manager {
+// forwarding the host-level knobs (including the hedge policy and the
+// host retry policy with its jitter seed) and lazy-building every host.
+func (c *Coordinator) newShardManager(indices []int, gauge *fleet.ResidentGauge) *fleet.Manager {
 	mgr := fleet.NewManager()
-	mgr.Parallelism = c.shardWorkers()
 	mgr.HostParallelism = c.cfg.HostParallelism
-	mgr.MaxRetries = c.cfg.MaxRetries
-	mgr.RetryBackoff = c.cfg.RetryBackoff
 	mgr.HostDeadline = c.cfg.HostDeadline
-	mgr.BreakerThreshold = c.cfg.BreakerThreshold
+	mgr.Retry = supervise.RetryPolicy{
+		MaxRetries:       c.cfg.MaxRetries,
+		Backoff:          c.cfg.RetryBackoff,
+		BreakerThreshold: c.cfg.BreakerThreshold,
+		JitterSeed:       c.cfg.BackoffJitterSeed,
+	}
 	mgr.AbortAfterFailureFraction = c.cfg.AbortAfterFailureFraction
 	mgr.ConfigureDetector = c.cfg.ConfigureDetector
 	mgr.ScanHost = c.cfg.ScanHost
 	mgr.Resident = gauge
-	mgr.Cancel = cancel
 	mgr.Hedge = c.cfg.Hedge
-	mgr.BackoffJitterSeed = c.cfg.BackoffJitterSeed
 	for _, i := range indices {
 		i := i
 		mgr.AddLazy(c.src.Name(i), func() (*machine.Machine, error) { return c.src.Build(i) })

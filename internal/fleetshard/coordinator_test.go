@@ -1,6 +1,7 @@
 package fleetshard
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -68,7 +69,7 @@ func TestShardedSweepMatchesClassicFleet(t *testing.T) {
 		}
 		classic.Add(src.Name(i), m)
 	}
-	want, err := classic.SweepStreamed(fleet.SweepInside, 2, nil)
+	want, err := classic.Run(context.Background(), fleet.Plan{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ghostfuzz
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,7 +103,7 @@ func RunCrashResume(seed int64) (*CrashSummary, error) {
 		return nil, err
 	}
 	refPath := filepath.Join(dir, "reference.gbj")
-	ref, err := refMgr.SweepJournaled(fleet.SweepInside, 1, refPath)
+	ref, err := sweepReport(refMgr, refPath, fleet.ModeFresh)
 	if err != nil {
 		return nil, fmt.Errorf("ghostfuzz: reference sweep: %w", err)
 	}
@@ -150,7 +151,7 @@ func RunCrashResume(seed int64) (*CrashSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		resumed, err := mgr.Resume(fleet.SweepInside, 1, path)
+		resumed, err := sweepReport(mgr, path, fleet.ModeResume)
 		if v.wantResumeError {
 			if err == nil {
 				s.Violations = append(s.Violations, Violation{InvDurability, mode,
@@ -166,6 +167,17 @@ func RunCrashResume(seed int64) (*CrashSummary, error) {
 		s.Violations = append(s.Violations, checkResumed(mode, ref, resumed, path)...)
 	}
 	return s, nil
+}
+
+// sweepReport runs one journaled single-worker sweep and seals its
+// report.
+func sweepReport(mgr *fleet.Manager, path string, mode fleet.Mode) (*fleet.Report, error) {
+	col := fleet.NewCollector(mgr)
+	sum, err := mgr.Run(context.Background(), fleet.Plan{Workers: 1, Journal: path, Mode: mode, Sink: col.Add})
+	if err != nil {
+		return nil, err
+	}
+	return col.Report(sum), nil
 }
 
 // checkResumed compares a resumed sweep against the uninterrupted

@@ -1,6 +1,7 @@
 package ghostfuzz
 
 import (
+	"context"
 	"fmt"
 
 	"ghostbuster/internal/fleet"
@@ -11,8 +12,8 @@ import (
 type FleetOptions struct {
 	Seed  int64
 	Hosts int
-	// Parallelism is the manager's worker-pool width; zero keeps the
-	// scheduler default (GOMAXPROCS).
+	// Parallelism is the sweep's worker-pool width (fleet.Plan Workers);
+	// zero keeps the scheduler default (GOMAXPROCS).
 	Parallelism int
 	// HostParallelism fans each host's eight scan units across lanes.
 	HostParallelism int
@@ -39,7 +40,6 @@ const fleetSeedBase = 1 << 20
 func RunFleet(opts FleetOptions) (*FleetSummary, error) {
 	s := &FleetSummary{Seed: opts.Seed, Hosts: opts.Hosts}
 	mgr := fleet.NewManager()
-	mgr.Parallelism = opts.Parallelism
 	mgr.HostParallelism = opts.HostParallelism
 	expected := map[string]int{}
 	for i := 0; i < opts.Hosts; i++ {
@@ -53,7 +53,12 @@ func RunFleet(opts FleetOptions) (*FleetSummary, error) {
 		mgr.Add(host, c.M)
 		expected[host] = c.Expect.HiddenTotal()
 	}
-	for _, res := range mgr.ParallelInsideSweep() {
+	col := fleet.NewCollector(mgr)
+	sum, err := mgr.Run(context.Background(), fleet.Plan{Workers: opts.Parallelism, Sink: col.Add})
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range col.Report(sum).Results {
 		mode := "fleet/" + res.Host
 		if res.Err != "" {
 			s.Violations = append(s.Violations, Violation{InvError, mode, res.Err})

@@ -65,7 +65,7 @@ func TestConfigureDetectorAppliesPolicy(t *testing.T) {
 }
 
 // TestConfigureManagerWiresDetectorSeam checks the fleet path: every
-// scheduling knob transfers, and the manager's per-host detector hook
+// per-host policy knob transfers, and the manager's per-host detector hook
 // is the profile's own ConfigureDetector so sweeps inherit units and
 // ordering too.
 func TestConfigureManagerWiresDetectorSeam(t *testing.T) {
@@ -75,14 +75,15 @@ func TestConfigureManagerWiresDetectorSeam(t *testing.T) {
 	}
 	mgr := fleet.NewManager()
 	p.ConfigureManager(mgr)
-	if mgr.Parallelism != p.Workers || mgr.HostParallelism != p.HostParallelism {
-		t.Errorf("manager parallelism %d/%d, want %d/%d", mgr.Parallelism, mgr.HostParallelism, p.Workers, p.HostParallelism)
+	if mgr.HostParallelism != p.HostParallelism {
+		t.Errorf("manager host parallelism %d, want %d", mgr.HostParallelism, p.HostParallelism)
 	}
-	if mgr.MaxRetries != p.MaxRetries || mgr.HostDeadline != p.Deadline {
-		t.Errorf("manager retries/deadline = %d/%v, want %d/%v", mgr.MaxRetries, mgr.HostDeadline, p.MaxRetries, p.Deadline)
+	if mgr.Retry.MaxRetries != p.MaxRetries || mgr.Retry.Backoff != p.RetryBackoff || mgr.HostDeadline != p.Deadline {
+		t.Errorf("manager retries/backoff/deadline = %d/%v/%v, want %d/%v/%v",
+			mgr.Retry.MaxRetries, mgr.Retry.Backoff, mgr.HostDeadline, p.MaxRetries, p.RetryBackoff, p.Deadline)
 	}
-	if mgr.BreakerThreshold != p.BreakerThreshold || mgr.AbortAfterFailureFraction != p.AbortAfterFailureFraction {
-		t.Errorf("manager breaker/abort = %d/%v, want %d/%v", mgr.BreakerThreshold, mgr.AbortAfterFailureFraction, p.BreakerThreshold, p.AbortAfterFailureFraction)
+	if mgr.Retry.BreakerThreshold != p.BreakerThreshold || mgr.AbortAfterFailureFraction != p.AbortAfterFailureFraction {
+		t.Errorf("manager breaker/abort = %d/%v, want %d/%v", mgr.Retry.BreakerThreshold, mgr.AbortAfterFailureFraction, p.BreakerThreshold, p.AbortAfterFailureFraction)
 	}
 	if mgr.ConfigureDetector == nil {
 		t.Fatal("manager's ConfigureDetector seam not wired")

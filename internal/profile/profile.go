@@ -103,7 +103,7 @@ type Profile struct {
 	// HostParallelism fans each host's eight scan units across lanes.
 	HostParallelism int `json:"hostParallelism"`
 	// RetryBackoff is the first retry wait (doubling, saturating at
-	// fleet.MaxRetryBackoff); zero takes the fleet default.
+	// supervise.MaxRetryBackoff); zero takes the default.
 	RetryBackoff time.Duration `json:"retryBackoffNs,omitempty"`
 	// BreakerThreshold quarantines a host after this many consecutive
 	// failed attempts; zero disables the breaker.
@@ -494,15 +494,16 @@ var orderSeedCounter atomic.Int64
 
 func nextOrderSeed() int64 { return orderSeedCounter.Add(1) }
 
-// ConfigureManager applies the profile to a fleet manager — the sweep
-// path both the CLI fleet mode and the resident daemon run.
+// ConfigureManager applies the profile's per-host scan policy to a
+// fleet manager — the sweep path both the CLI fleet mode and the
+// resident daemon run. Workers is a per-sweep bound: callers pass it in
+// the fleet.Plan. The retry policy's jitter seed is left as set.
 func (p Profile) ConfigureManager(mgr *fleet.Manager) {
-	mgr.Parallelism = p.Workers
 	mgr.HostParallelism = p.HostParallelism
-	mgr.MaxRetries = p.MaxRetries
-	mgr.RetryBackoff = p.RetryBackoff
+	mgr.Retry.MaxRetries = p.MaxRetries
+	mgr.Retry.Backoff = p.RetryBackoff
+	mgr.Retry.BreakerThreshold = p.BreakerThreshold
 	mgr.HostDeadline = p.Deadline
-	mgr.BreakerThreshold = p.BreakerThreshold
 	mgr.AbortAfterFailureFraction = p.AbortAfterFailureFraction
 	mgr.ConfigureDetector = p.ConfigureDetector
 }

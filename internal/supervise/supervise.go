@@ -1,7 +1,9 @@
 // Package supervise is the live-recovery layer: watchdogs that notice
 // when a worker stops making progress, a quantile tracker that decides
-// when a host scan has become a straggler worth hedging, and a bounded
-// admission gate that sheds load before the daemon melts down.
+// when a host scan has become a straggler worth hedging, the bounded
+// retry policy (backoff, jitter, breaker) every control-plane level
+// shares, and a bounded admission gate that sheds load before the
+// daemon melts down.
 //
 // The package deliberately knows nothing about shards, hosts, or HTTP.
 // Callers register opaque watch IDs and emit beats; the supervisor's
@@ -10,7 +12,8 @@
 //
 // Unlike the scan engine, supervision runs on *wall* clock: the whole
 // point of a watchdog is to notice that virtual time has stopped
-// advancing because a real read wedged underneath it.
+// advancing because a real read wedged underneath it. Retry waits are
+// the exception — they are virtual time the caller charges.
 package supervise
 
 import (

@@ -6,6 +6,25 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# matrix FLAGS PATTERN PKG runs `go test FLAGS -run PATTERN PKG`, first
+# checking that every |-separated alternative of PATTERN selects at
+# least one test in PKG: go test prints ok for a pattern that matches
+# nothing, so a renamed test would otherwise drop out of a matrix
+# silently.
+matrix() {
+	flags=$1 pattern=$2 pkg=$3
+	old_ifs=$IFS
+	IFS='|'
+	for alt in $pattern; do
+		if ! go test -list "$alt" "$pkg" | grep -q '^Test'; then
+			echo "FAIL: -run alternative '$alt' selects no test in $pkg"
+			exit 1
+		fi
+	done
+	IFS=$old_ifs
+	go test $flags -run "$pattern" "$pkg"
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -16,34 +35,35 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> chaos suite under -race (fault-injection property tests)"
-go test -race -run 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
+matrix '-race' 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
 
 echo "==> crash-resume matrix under -race (kill at sched/mid/last offsets, torn tail, bit flip)"
-go test -race -run 'TestChaosCrashResume' ./internal/ghostfuzz/
-go test -race -run 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
-go test -race -run 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
+matrix '-race' 'TestChaosCrashResume' ./internal/ghostfuzz/
+matrix '-race' 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
+matrix '-race' 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
 
 echo "==> sharded control-plane matrix under -race (shard loss, topology independence, bounded residency)"
-go test -race -run 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardBreakerQuarantines|TestShardErrorBudgetAborts' ./internal/fleetshard/
+matrix '-race' 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardBreakerQuarantines|TestShardErrorBudgetAborts' ./internal/fleetshard/
 
 echo "==> daemon smoke under -race (boot, API sweep, graceful drain; locked-profile API rejections)"
-go test -race -run 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
-go test -race -run 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
+matrix '-race' 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
+matrix '-race' 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
 
 echo "==> supervision matrix under -race (wedge failover, wedge-crash resume, hedged stragglers, jittered retries, cancel-seal)"
-go test -race -run 'TestSupervisionChaos' ./internal/ghostfuzz/
-go test -race -run 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
-go test -race -run 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties' ./internal/fleet/
+matrix '-race' 'TestSupervisionChaos' ./internal/ghostfuzz/
+matrix '-race' 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
+matrix '-race' 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties|TestSweepDigestsGolden' ./internal/fleet/
+matrix '-race' 'TestRetryPolicy|TestWatchdog' ./internal/supervise/
 
 echo "==> daemon overload control under -race (admission 429/Retry-After, readyz draining, slow SSE consumers never stall sweeps)"
-go test -race -run 'TestSweepAdmission|TestReadyzTracksDraining|TestSlowSubscriberDropsWithoutStallingSweeps|TestSubscriberChurnDuringSweeps' ./internal/daemon/
+matrix '-race' 'TestSweepAdmission|TestReadyzTracksDraining|TestSlowSubscriberDropsWithoutStallingSweeps|TestSubscriberChurnDuringSweeps' ./internal/daemon/
 
 echo "==> next-gen family matrix under -race (evasive differential, naive-miss/counter-catch, boot+removable chaos, removable delta scheduling)"
-go test -race -run 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
-go test -race -run 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
+matrix '-race' 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
+matrix '-race' 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
 
 echo "==> randomized-order alloc gate (nonzero OrderSeed adds nothing per entry to the warm diff path)"
-go test -run 'TestScanOrderAllocs|TestOrderedWarmSweepAllocs' ./internal/core/
+matrix '' 'TestScanOrderAllocs|TestOrderedWarmSweepAllocs' ./internal/core/
 
 echo "==> coverage floor (>= 70% on the detection core, cross-time/kmem truth sources, daemon, supervision, and profile store)"
 go test -cover ./internal/core/ ./internal/ntfs/ ./internal/hive/ ./internal/crosstime/ ./internal/kmem/ ./internal/fleet/ ./internal/fleetshard/ ./internal/journal/ ./internal/daemon/ ./internal/profile/ ./internal/supervise/ |
