@@ -18,8 +18,8 @@ import (
 
 // shardScaleResult is one shard-count entry of the scaling curve.
 type shardScaleResult struct {
-	Shards int `json:"shards"`
-	Hosts  int `json:"hosts"`
+	Shards int   `json:"shards"`
+	Hosts  int   `json:"hosts"`
 	WallNs int64 `json:"wallNs"`
 	// MakespanNs is the sweep's virtual completion time: shards sweep in
 	// parallel, so it is the max per-shard virtual cost — deterministic,

@@ -43,26 +43,6 @@ func clockFor(m *machine.Machine, call *winapi.Call) *vtime.Clock {
 	return m.Clock
 }
 
-// upperAppend appends s uppercased to b. ASCII bytes upcase in place;
-// any non-ASCII input falls back to strings.ToUpper for full Unicode
-// semantics (rare for Windows paths, so the fallback allocation does
-// not matter).
-func upperAppend(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return append(b, strings.ToUpper(s)...)
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		b = append(b, c)
-	}
-	return b
-}
-
 // fileID canonicalizes a full path for diffing. Scanned paths are
 // usually already canonical, so the common case returns the input
 // without allocating (strings.ToUpper here used to dominate snapshot
@@ -76,7 +56,7 @@ func fileID(path string) string {
 		if 'a' <= c && c <= 'z' {
 			b := make([]byte, 0, len(path))
 			b = append(b, path[:i]...)
-			return string(upperAppend(b, path[i:]))
+			return string(ntfs.AppendUpper(b, path[i:]))
 		}
 	}
 	return path
@@ -94,7 +74,7 @@ func internFileID(t *InternTable, buf []byte, path string) (Sym, []byte) {
 		}
 		if 'a' <= c && c <= 'z' {
 			buf = append(buf[:0], path[:i]...)
-			buf = upperAppend(buf, path[i:])
+			buf = ntfs.AppendUpper(buf, path[i:])
 			return t.InternBytes(buf), buf
 		}
 	}
@@ -107,7 +87,7 @@ func appendPidUpperID(b []byte, pid uint64, s string) []byte {
 	b = append(b[:0], "PID "...)
 	b = strconv.AppendUint(b, pid, 10)
 	b = append(b, ':', ' ')
-	return upperAppend(b, s)
+	return ntfs.AppendUpper(b, s)
 }
 
 // pidUpperID is the string form of appendPidUpperID, kept for the

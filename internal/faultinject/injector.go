@@ -38,7 +38,7 @@ type Injector struct {
 	pending    *pendingDisk   // disk corruption chosen in BeforeRead, applied in CorruptImage
 	pendingRem *pendingDisk   // same, for the removable volume's reads
 	armed      bool
-	stall      func(Source)   // wall-clock stall gate for disk KindLag fires
+	stall      func(Source) // wall-clock stall gate for disk KindLag fires
 
 	epoch atomic.Uint64
 }

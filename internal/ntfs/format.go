@@ -16,7 +16,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // Geometry constants. Real NTFS values are configurable at format time;
@@ -161,11 +163,42 @@ func encodeUTF16(s string) []byte {
 	return b
 }
 
-// decodeUTF16 converts UTF-16LE bytes to a Go string.
+// decodeUTF16 converts UTF-16LE bytes to a Go string, exactly as
+// string(utf16.Decode(units)) would: a trailing odd byte is ignored and
+// unpaired surrogates become U+FFFD. Names cross from the borrowed
+// device bytes to an owned string in one pass; an all-ASCII name (the
+// common case) costs a single allocation, the string itself.
 func decodeUTF16(b []byte) string {
-	u := make([]uint16, len(b)/2)
-	for i := range u {
-		u[i] = binary.LittleEndian.Uint16(b[2*i:])
+	n := len(b) / 2
+	ascii := true
+	for i := 0; i < n; i++ {
+		if b[2*i+1] != 0 || b[2*i] >= utf8.RuneSelf {
+			ascii = false
+			break
+		}
 	}
-	return string(utf16.Decode(u))
+	if ascii {
+		var sb strings.Builder
+		sb.Grow(n)
+		for i := 0; i < n; i++ {
+			sb.WriteByte(b[2*i])
+		}
+		return sb.String()
+	}
+	out := make([]byte, 0, 3*n)
+	for i := 0; i < n; i++ {
+		r := rune(binary.LittleEndian.Uint16(b[2*i:]))
+		if utf16.IsSurrogate(r) {
+			if i+1 < n {
+				if pair := utf16.DecodeRune(r, rune(binary.LittleEndian.Uint16(b[2*i+2:]))); pair != utf8.RuneError {
+					out = utf8.AppendRune(out, pair)
+					i++
+					continue
+				}
+			}
+			r = utf8.RuneError
+		}
+		out = utf8.AppendRune(out, r)
+	}
+	return string(out)
 }

@@ -1,10 +1,13 @@
 package ntfs
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Info describes one file or directory as seen by the filesystem driver.
@@ -445,18 +448,40 @@ func SplitPath(path string) []string {
 
 func (v *Volume) resolve(path string) (uint32, error) {
 	cur := uint32(RecordRoot)
+	var buf [MaxNameLen]byte
 	for _, comp := range SplitPath(path) {
 		n := v.nodes[cur]
 		if n == nil || !n.dir {
 			return 0, fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
-		next, ok := n.children[strings.ToUpper(comp)]
+		next, ok := n.children[string(AppendUpper(buf[:0], comp))]
 		if !ok {
 			return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 		}
 		cur = next
 	}
 	return cur, nil
+}
+
+// AppendUpper appends strings.ToUpper(s) to b: the case-folded form
+// under which the volume compares names. ASCII upper-cases byte by byte,
+// so a lookup keyed on string(AppendUpper(stackBuf[:0], s)) allocates
+// nothing; non-ASCII input takes strings.ToUpper for full Unicode case
+// mapping.
+func AppendUpper(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(b, strings.ToUpper(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 func splitDirBase(path string) (dir, base string) {
@@ -765,9 +790,17 @@ func (v *Volume) removeAll(path string) error {
 
 // --- driver-level queries ---------------------------------------------------
 
-func (v *Volume) infoFor(num uint32) (Info, error) {
-	rec, err := v.readRecord(num)
+// infoFor decodes record num into rec, a caller-owned scratch record,
+// and returns its driver view. The decode borrows the device bytes (the
+// caller holds the volume lock) and validates the whole record exactly
+// as DecodeRecord does, so a damaged record fails with the same error;
+// only the name, copied out by the UTF-16 decode, outlives the call.
+func (v *Volume) infoFor(num uint32, rec *Record) (Info, error) {
+	off, err := v.recordOffset(num)
 	if err != nil {
+		return Info{}, err
+	}
+	if err := DecodeRecordBorrowed(rec, v.dev[off:off+RecordSize], num); err != nil {
 		return Info{}, err
 	}
 	fn, err := rec.FileName()
@@ -792,7 +825,8 @@ func (v *Volume) Stat(path string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	return v.infoFor(num)
+	var rec Record
+	return v.infoFor(num, &rec)
 }
 
 // Exists reports whether path resolves.
@@ -803,9 +837,12 @@ func (v *Volume) Exists(path string) bool {
 	return err == nil
 }
 
-// ReadDir lists the children of a directory in name order. This is the
-// filesystem driver's answer to an enumeration IRP — the base of the
-// hookable call chain.
+// ReadDir lists the children of a directory in name order: by the
+// upper-cased on-disk name, then by record number, so children whose
+// names collide case-insensitively (a $FILE_NAME patched behind the
+// driver's back) still list in one fixed order. This is the filesystem
+// driver's answer to an enumeration IRP — the base of the hookable call
+// chain.
 func (v *Volume) ReadDir(path string) ([]Info, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -817,15 +854,39 @@ func (v *Volume) ReadDir(path string) ([]Info, error) {
 	if !n.dir {
 		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
 	}
-	out := make([]Info, 0, len(n.children))
+	type keyed struct {
+		key  []byte
+		info Info
+	}
+	ents := make([]keyed, 0, len(n.children))
+	size := 0
+	var rec Record
 	for _, child := range n.children {
-		info, err := v.infoFor(child)
+		info, err := v.infoFor(child, &rec)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, info)
+		ents = append(ents, keyed{info: info})
+		size += len(info.Name)
 	}
-	sort.Slice(out, func(i, j int) bool { return strings.ToUpper(out[i].Name) < strings.ToUpper(out[j].Name) })
+	// Each child's sort key, its upper-cased name, is computed once into
+	// one shared buffer.
+	keys := make([]byte, 0, size)
+	for i := range ents {
+		start := len(keys)
+		keys = AppendUpper(keys, ents[i].info.Name)
+		ents[i].key = keys[start:]
+	}
+	slices.SortFunc(ents, func(a, b keyed) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.info.Record, b.info.Record)
+	})
+	out := make([]Info, len(ents))
+	for i := range ents {
+		out[i] = ents[i].info
+	}
 	return out, nil
 }
 

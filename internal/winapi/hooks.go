@@ -7,6 +7,26 @@ package winapi
 // hooks (e.g. result *rewriting*) can still be built from raw Hook
 // values.
 
+// filter returns the elements of s that keep accepts, in order. When
+// keep accepts them all it returns s itself, so a filter layer that
+// hides nothing from a listing costs no copy; otherwise it copies into
+// a new slice and never writes to s.
+func filter[T any](s []T, keep func(T) bool) []T {
+	for i := range s {
+		if !keep(s[i]) {
+			out := make([]T, i, len(s)-1)
+			copy(out, s[:i])
+			for _, e := range s[i+1:] {
+				if keep(e) {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+	}
+	return s
+}
+
 // NewFileHideHook builds a file-enumeration filter at the given level
 // that drops entries for which hide returns true.
 func NewFileHideHook(owner string, level Level, technique string, appliesTo func(Proc) bool, hide func(call *Call, e DirEntry) bool) *Hook {
@@ -18,13 +38,7 @@ func NewFileHideHook(owner string, level Level, technique string, appliesTo func
 				if err != nil {
 					return nil, err
 				}
-				out := entries[:0:0]
-				for _, e := range entries {
-					if !hide(call, e) {
-						out = append(out, e)
-					}
-				}
-				return out, nil
+				return filter(entries, func(e DirEntry) bool { return !hide(call, e) }), nil
 			}
 		},
 	}
@@ -73,13 +87,7 @@ func NewProcHideHook(owner string, level Level, technique string, appliesTo func
 				if err != nil {
 					return nil, err
 				}
-				out := procs[:0:0]
-				for _, p := range procs {
-					if !hide(call, p) {
-						out = append(out, p)
-					}
-				}
-				return out, nil
+				return filter(procs, func(p ProcEntry) bool { return !hide(call, p) }), nil
 			}
 		},
 	}
@@ -95,13 +103,7 @@ func NewModHideHook(owner string, level Level, technique string, appliesTo func(
 				if err != nil {
 					return nil, err
 				}
-				out := mods[:0:0]
-				for _, m := range mods {
-					if !hide(call, m) {
-						out = append(out, m)
-					}
-				}
-				return out, nil
+				return filter(mods, func(m ModEntry) bool { return !hide(call, m) }), nil
 			}
 		},
 	}
@@ -117,13 +119,7 @@ func NewDriverHideHook(owner string, level Level, technique string, appliesTo fu
 				if err != nil {
 					return nil, err
 				}
-				out := mods[:0:0]
-				for _, m := range mods {
-					if !hide(call, m) {
-						out = append(out, m)
-					}
-				}
-				return out, nil
+				return filter(mods, func(m ModEntry) bool { return !hide(call, m) }), nil
 			}
 		},
 	}

@@ -3,6 +3,7 @@ package winapi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -187,13 +188,7 @@ func (s *Stack) EnumDirWin32(call *Call, dir string) ([]DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DirEntry, 0, len(raw))
-	for _, e := range raw {
-		if Win32Visible(e.Path, e.Name) {
-			out = append(out, e)
-		}
-	}
-	return out, nil
+	return filter(raw, func(e DirEntry) bool { return Win32Visible(e.Path, e.Name) }), nil
 }
 
 // EnumDirNative lists a directory via the Native API (direct
@@ -209,27 +204,32 @@ func (s *Stack) EnumDirNative(call *Call, dir string) ([]DirEntry, error) {
 // at any level hides its whole subtree, and Win32 path-length limits
 // prune descent just as they do for the real command.
 func (s *Stack) WalkTreeWin32(call *Call, root string) ([]DirEntry, error) {
-	var out []DirEntry
+	// The walk keeps each listing's runs between descents in output
+	// order and copies them into the result once, at its final size.
+	var runs [][]DirEntry
 	var walk func(dir string) error
 	walk = func(dir string) error {
 		entries, err := s.EnumDirWin32(call, dir)
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
-			out = append(out, e)
+		start := 0
+		for i, e := range entries {
 			if e.Dir && len(e.Path) <= MaxPath {
+				runs = append(runs, entries[start:i+1])
+				start = i + 1
 				if err := walk(e.Path); err != nil {
 					return err
 				}
 			}
 		}
+		runs = append(runs, entries[start:])
 		return nil
 	}
 	if err := walk(root); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return slices.Concat(runs...), nil
 }
 
 // --- boot sector -------------------------------------------------------------
@@ -358,13 +358,7 @@ func (s *Stack) EnumModulesWin32(call *Call, pid uint64) ([]ModEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ModEntry, 0, len(raw))
-	for _, m := range raw {
-		if m.Path != "" {
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return filter(raw, func(m ModEntry) bool { return m.Path != "" }), nil
 }
 
 // EnumDriversWin32 lists loaded drivers through the chain.

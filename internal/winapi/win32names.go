@@ -1,6 +1,9 @@
 package winapi
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // MaxPath is the Win32 full-path limit (MAX_PATH). Entries whose full
 // path exceeds it are unaddressable by Win32 callers, and "dir /s /b"
@@ -57,8 +60,32 @@ func Win32Visible(fullPath, name string) bool {
 	if i := strings.IndexByte(base, '.'); i >= 0 {
 		base = base[:i]
 	}
-	if win32Reserved[strings.ToUpper(strings.TrimSpace(base))] {
+	if reservedBase(base) {
 		return false
 	}
 	return len(fullPath) <= MaxPath
+}
+
+// reservedBase reports whether base, trimmed of spaces, is a reserved
+// device name in any case. An ASCII base upper-cases into a stack buffer
+// and allocates nothing; anything else takes strings.ToUpper.
+func reservedBase(base string) bool {
+	for i := 0; i < len(base); i++ {
+		if base[i] >= utf8.RuneSelf {
+			return win32Reserved[strings.ToUpper(strings.TrimSpace(base))]
+		}
+	}
+	base = strings.TrimSpace(base)
+	var buf [4]byte // the longest reserved names: COMn, LPTn
+	if len(base) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(base); i++ {
+		c := base[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return win32Reserved[string(buf[:len(base)])]
 }

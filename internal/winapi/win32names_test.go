@@ -51,10 +51,32 @@ func TestWin32VisibleTable(t *testing.T) {
 		{`C:\nul\x00`, "nu\x00l", false},
 		{`C:\` + strings.Repeat("d", 300), strings.Repeat("d", 300), false}, // MAX_PATH
 		{`C:\ok`, "", false},                                                // empty component never enumerates
+		{`C:\nul.TXT`, "nul.TXT", false},                                    // any case, any extension
+		{`C:\Com1 .log`, "Com1 .log", false},                                // spaces before the dot trim away
+		{`C:\ aux`, " aux", false},                                          // leading spaces trim away
+		{`C:\LPT9`, "LPT9", false},
+		{`C:\COM10`, "COM10", true}, // only COM1-COM9
+		{`C:\CONSOLE12.txt`, "CONSOLE12.txt", true},
+		{`C:\   COM1   .txt`, "   COM1   .txt", false}, // a 10-byte base that trims to a device
+		{`C:\cón.txt`, "cón.txt", true},                // non-ASCII base
+		{"C:\\\u00a0NUL.txt", "\u00a0NUL.txt", false},  // Unicode spaces trim too
 	}
 	for _, tc := range cases {
 		if got := Win32Visible(tc.path, tc.name); got != tc.want {
 			t.Errorf("Win32Visible(%q, %q) = %v, want %v", tc.path, tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestWin32VisibleAllocs pins the name check at zero allocations for
+// ASCII names, reserved ones included: it runs on every entry of every
+// high-side file walk.
+func TestWin32VisibleAllocs(t *testing.T) {
+	names := []string{"f.txt", "readme", "con", "Com1 .log", "nul.TXT", "lpt9.doc", "CONSOLE12.txt", "   COM1   .txt", "f."}
+	for _, name := range names {
+		path := `C:\dir\` + name
+		if n := testing.AllocsPerRun(100, func() { Win32Visible(path, name) }); n != 0 {
+			t.Errorf("Win32Visible(%q) = %v allocs, want 0", name, n)
 		}
 	}
 }

@@ -25,6 +25,14 @@ matrix() {
 	go test $flags -run "$pattern" "$pkg"
 }
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt -l lists unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -62,8 +70,13 @@ echo "==> next-gen family matrix under -race (evasive differential, naive-miss/c
 matrix '-race' 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
 matrix '-race' 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
 
-echo "==> randomized-order alloc gate (nonzero OrderSeed adds nothing per entry to the warm diff path)"
+echo "==> alloc gate (nonzero OrderSeed adds nothing per entry to the warm diff path; ReadDir allocs linear in children; Win32 name check alloc-free)"
 matrix '' 'TestScanOrderAllocs|TestOrderedWarmSweepAllocs' ./internal/core/
+matrix '' 'TestReadDirAllocs' ./internal/ntfs/
+matrix '' 'TestWin32VisibleAllocs' ./internal/winapi/
+
+echo "==> native fuzz (UTF-16 name decode vs unicode/utf16, 10s)"
+go test -run '^$' -fuzz '^FuzzDecodeUTF16$' -fuzztime 10s ./internal/ntfs/
 
 echo "==> coverage floor (>= 70% on the detection core, cross-time/kmem truth sources, daemon, supervision, and profile store)"
 go test -cover ./internal/core/ ./internal/ntfs/ ./internal/hive/ ./internal/crosstime/ ./internal/kmem/ ./internal/fleet/ ./internal/fleetshard/ ./internal/journal/ ./internal/daemon/ ./internal/profile/ ./internal/supervise/ |
