@@ -1,21 +1,23 @@
 // Command ghostfuzz drives the adversarial ghostware fuzzer: it
 // generates composed hiding techniques, installs each on a randomized
-// machine, runs every detection configuration, and checks the
-// differential oracle's invariants. Output is deterministic JSON — the
-// same seed and count yield byte-identical bytes, run after run.
+// machine, and judges it through the selected rows of the topology
+// matrix — the host table's detector configurations and the fleet
+// table's sweep, crash and supervision topologies. Output is
+// deterministic JSON — the same flags yield byte-identical bytes, run
+// after run. Exit 2 on any violation, 1 on a harness error.
 //
 // Usage:
 //
-//	ghostfuzz -seed 1 -n 200                  # fuzz 200 cases
+//	ghostfuzz -seed 1 -n 200                  # clean host rows, 200 cases
 //	ghostfuzz -seed 1 -n 5000 -budget 2m      # bounded batch
-//	ghostfuzz -seed 1 -n 50 -faulted          # chaos mode: seeded fault plans
+//	ghostfuzz -seed 1 -n 50 -rows '^faulted-' # chaos: seeded fault plans, contained rows
+//	ghostfuzz -seed 1 -n 2 -rows '^crash/'    # kill/resume journaled sweeps
+//	ghostfuzz -seed 1 -n 2 -rows '^shardcrash/'
+//	ghostfuzz -seed 1 -n 1 -rows '^supervise/'
+//	ghostfuzz -seed 1 -n 2 -rows /            # every fleet row
 //	ghostfuzz -replay 'ghostfuzz-v1 seed=7 atoms=ads/1/all'
 //	ghostfuzz -replay @testdata/ghostfuzz/corpus/1a2b3c4d.spec
 //	ghostfuzz -corpus testdata/ghostfuzz/corpus -n 500   # record shrunk repros
-//	ghostfuzz -fleet 16 -lanes 4              # fuzz across a fleet sweep
-//	ghostfuzz -crashed 5                      # kill/resume journaled sweeps
-//	ghostfuzz -crashed 5 -shards 4            # sharded: kill K of N shard journals
-//	ghostfuzz -supervised 3 -shards 4         # wedge/straggle sharded sweeps and check self-healing
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"ghostbuster/internal/ghostfuzz"
 )
@@ -38,25 +39,17 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("ghostfuzz", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "base seed; case i derives from it deterministically")
-	n := fs.Int("n", 100, "number of generated cases")
+	seed := fs.Int64("seed", 1, "base seed; case and fleet i derive from it deterministically")
+	n := fs.Int("n", 100, "cases to generate per selected spec class, and fleets to sweep when fleet rows are selected")
 	budget := fs.Duration("budget", 0, "wall-clock budget; 0 means unlimited")
-	faulted := fs.Bool("faulted", false, "chaos mode: layer seeded fault plans over each case and check degradation invariants")
-	replay := fs.String("replay", "", "replay one spec line (or @file containing one) instead of generating")
+	rows := fs.String("rows", "", "regexp selecting matrix rows by name (default "+ghostfuzz.DefaultRows+"; every applicable row with -replay)")
+	replay := fs.String("replay", "", "judge one spec line (or @file containing one) instead of generating")
 	corpus := fs.String("corpus", "", "directory to write shrunk failure specs into")
-	fleetN := fs.Int("fleet", 0, "fuzz across a fleet sweep with this many hosts instead of single cases")
-	crashed := fs.Int("crashed", 0, "crash mode: kill this many seeded journaled sweeps at varied offsets and check each resume against the uninterrupted run")
-	shards := fs.Int("shards", 0, "with -crashed: sweep each seeded fleet across this many journaled shards and kill subsets of shard journals instead of single-journal offsets")
-	supervised := fs.Int("supervised", 0, "supervision chaos: run this many seeded sharded sweeps through the wedge/straggler/jitter matrix and check every healed run reproduces the uninterrupted digest")
-	lanes := fs.Int("lanes", 1, "per-host scan lanes in fleet mode")
-	workers := fs.Int("workers", 4, "fleet scheduler worker pool size")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-
+	opts := ghostfuzz.Options{Seed: *seed, N: *n, Budget: *budget, Rows: *rows, CorpusDir: *corpus}
 	if *replay != "" {
 		line := *replay
 		if rest, ok := strings.CutPrefix(line, "@"); ok {
@@ -66,94 +59,28 @@ func run(args []string, out *os.File) error {
 			}
 			line = firstSpecLine(string(data))
 		}
-		violations, err := ghostfuzz.Replay(line, nil)
+		spec, err := ghostfuzz.ParseSpec(line)
 		if err != nil {
 			return err
 		}
-		if err := enc.Encode(map[string]any{"spec": line, "violations": violations}); err != nil {
-			return err
-		}
-		if len(violations) > 0 {
-			os.Exit(2)
-		}
-		return nil
+		opts.Specs, opts.NoShrink = []ghostfuzz.CaseSpec{spec}, true
 	}
-
-	if *supervised > 0 {
-		sh := *shards
-		if sh == 0 {
-			sh = 3
-		}
-		var summaries []*ghostfuzz.CrashSummary
-		violations := 0
-		for i := 0; i < *supervised; i++ {
-			s, err := ghostfuzz.RunSupervisionChaos(ghostfuzz.CaseSeed(*seed, i), sh)
-			if err != nil {
-				return err
-			}
-			summaries = append(summaries, s)
-			violations += len(s.Violations)
-		}
-		if err := enc.Encode(summaries); err != nil {
-			return err
-		}
-		if violations > 0 {
-			os.Exit(2)
-		}
-		return nil
-	}
-
-	if *crashed > 0 {
-		var summaries []*ghostfuzz.CrashSummary
-		violations := 0
-		for i := 0; i < *crashed; i++ {
-			var s *ghostfuzz.CrashSummary
-			var err error
-			if *shards > 0 {
-				s, err = ghostfuzz.RunShardCrashResume(ghostfuzz.CaseSeed(*seed, i), *shards)
-			} else {
-				s, err = ghostfuzz.RunCrashResume(ghostfuzz.CaseSeed(*seed, i))
-			}
-			if err != nil {
-				return err
-			}
-			summaries = append(summaries, s)
-			violations += len(s.Violations)
-		}
-		if err := enc.Encode(summaries); err != nil {
-			return err
-		}
-		if violations > 0 {
-			os.Exit(2)
-		}
-		return nil
-	}
-
-	if *fleetN > 0 {
-		summary, err := ghostfuzz.RunFleet(ghostfuzz.FleetOptions{
-			Seed: *seed, Hosts: *fleetN,
-			Parallelism: *workers, HostParallelism: *lanes,
-		})
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(summary); err != nil {
-			return err
-		}
-		if len(summary.Violations) > 0 {
-			os.Exit(2)
-		}
-		return nil
-	}
-
-	summary, err := ghostfuzz.Run(ghostfuzz.Options{
-		Seed: *seed, N: *n, Budget: time.Duration(*budget), CorpusDir: *corpus,
-		Faulted: *faulted,
-	})
+	summary, err := ghostfuzz.Run(opts)
 	if err != nil {
 		return err
 	}
-	if err := enc.Encode(summary); err != nil {
+
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	var result any = summary
+	if *replay != "" {
+		var violations []ghostfuzz.Violation
+		if len(summary.Failures) > 0 {
+			violations = summary.Failures[0].Violations
+		}
+		result = map[string]any{"spec": opts.Specs[0].String(), "violations": violations}
+	}
+	if err := enc.Encode(result); err != nil {
 		return err
 	}
 	if len(summary.Failures) > 0 {

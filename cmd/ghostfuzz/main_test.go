@@ -42,12 +42,28 @@ func TestReplayInlineSpec(t *testing.T) {
 }
 
 func TestSupervisedModeRunsMatrix(t *testing.T) {
-	out := capture(t, []string{"-seed", "131", "-supervised", "1", "-shards", "3"})
-	if !strings.Contains(out, `"variants": 5`) {
-		t.Errorf("supervised mode did not run the 5-variant matrix: %s", out)
+	out := capture(t, []string{"-seed", "131", "-n", "1", "-rows", "^supervise/"})
+	for _, row := range []string{"wedge-live", "wedge-resume", "wedge-unjournaled", "hedge", "jitter-retry"} {
+		if !strings.Contains(out, `"supervise/`+row+`": 1`) {
+			t.Errorf("supervision rows did not run %s once: %s", row, out)
+		}
 	}
 	if strings.Contains(out, `"violations"`) {
-		t.Errorf("supervised mode reported violations: %s", out)
+		t.Errorf("supervision rows reported violations: %s", out)
+	}
+}
+
+func TestUnknownRowSelectionErrors(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := run([]string{"-rows", "^nosuch$"}, f); err == nil {
+		t.Fatal("a selection matching no row should error")
+	}
+	if err := run([]string{"-rows", "^faulted-", "-replay", "ghostfuzz-v1 seed=7 atoms=ads/1/all"}, f); err == nil {
+		t.Fatal("a selection with no row for the replayed spec should error")
 	}
 }
 

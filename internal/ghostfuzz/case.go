@@ -2,6 +2,7 @@ package ghostfuzz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ghostbuster/internal/core"
@@ -28,15 +29,17 @@ type Expectation struct {
 	// MassHiding is whether file reports must flag the §5 anomaly.
 	MassHiding bool
 	// Evasive holds adaptive-evasion process image names. They stay
-	// hidden only until the ghostware's scan watcher trips, so the naive
-	// fixed-order sweep must miss them while randomized ordering and the
-	// cross-time diff must catch them (RunCaseEvasive).
+	// hidden only until the ghostware's scan watcher trips, so every
+	// fixed-order row must miss them while the ordered and cross-time
+	// rows must catch them.
 	Evasive []string
 	// MemOnly holds memory-only process image names, visible only to
 	// the kernel-vs-pool-carve cross-view unit (report index 4).
 	MemOnly []string
-	// Boot holds tampered boot-sector region names ("CODE"); boot-chain
-	// finding IDs are "NAME:STATUS" (report index 5).
+	// Boot holds tampered boot-sector region names ("CODE"), sorted and
+	// deduplicated — several bootkit atoms patch the same region, which
+	// surfaces once; boot-chain finding IDs are "NAME:STATUS" (report
+	// index 5).
 	Boot []string
 	// USB holds exact uppercase finding IDs of hidden removable-volume
 	// payloads — full E:\ paths (report index 6).
@@ -71,7 +74,7 @@ func Build(spec CaseSpec) (*Case, error) {
 			return nil, fmt.Errorf("ghostfuzz: baseline checkpoint: %w", err)
 		}
 	}
-	g := ghostware.NewComposite(fmt.Sprintf("s%d", uint64(spec.Seed)%100000), spec.Atoms)
+	g := composite(spec)
 	if err := g.Install(m); err != nil {
 		return nil, fmt.Errorf("ghostfuzz: installing %s: %w", spec, err)
 	}
@@ -81,6 +84,12 @@ func Build(spec CaseSpec) (*Case, error) {
 		return nil, fmt.Errorf("ghostfuzz: churn: %w", err)
 	}
 	return &Case{Spec: spec, M: m, G: g, Expect: expectationFor(g), Baseline: baseline}, nil
+}
+
+// composite assembles the spec's ghostware. Its ground truth is fixed
+// here, before any machine exists.
+func composite(spec CaseSpec) *ghostware.Composite {
+	return ghostware.NewComposite(fmt.Sprintf("s%d", uint64(spec.Seed)%100000), spec.Atoms)
 }
 
 func expectationFor(g *ghostware.Composite) Expectation {
@@ -95,6 +104,8 @@ func expectationFor(g *ghostware.Composite) Expectation {
 	e.Evasive = g.EvasiveProcs()
 	e.MemOnly = g.MemOnlyProcs()
 	e.Boot = g.BootRegions()
+	slices.Sort(e.Boot)
+	e.Boot = slices.Compact(e.Boot)
 	for _, f := range g.RemovableFiles() {
 		e.USB = append(e.USB, strings.ToUpper(f))
 	}

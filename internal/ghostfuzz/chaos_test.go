@@ -9,21 +9,28 @@ import (
 )
 
 // TestChaosSuite is the headline property suite: seeded fault scenarios
-// across every faulted mode (lanes 1/2/8 and the warm-cache path) must
-// (a) never panic or error out of a contained scan, (b) never induce a
-// false positive, and (c) keep detecting every planted ghost whose scan
-// units survived undamaged. 70 seeds × 4 modes = 280 scenarios.
+// across every contained host row (lanes 1/2/8 and the warm-cache path)
+// must (a) never panic or error out of a contained scan, (b) never
+// induce a false positive, and (c) keep detecting every planted ghost
+// whose scan units survived undamaged. 70 seeds × 4 rows = 280
+// scenarios.
 func TestChaosSuite(t *testing.T) {
+	t.Parallel()
 	seeds := 70
 	if testing.Short() {
 		seeds = 3
 	}
+	s, err := Run(Options{Seed: 99, N: seeds, Rows: "^faulted-", NoShrink: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range s.Failures {
+		t.Errorf("%s: %v", f.Spec, f.Violations)
+	}
 	scenarios := 0
-	for i := 0; i < seeds; i++ {
-		spec := GenerateFaulted(CaseSeed(99, i))
-		scenarios += len(faultedModes)
-		for _, v := range RunCaseFaulted(spec) {
-			t.Errorf("%s: %s", spec, v)
+	for _, row := range hostRows {
+		if row.expect == contained {
+			scenarios += s.Rows[row.name]
 		}
 	}
 	if !testing.Short() && scenarios < 200 {
@@ -120,33 +127,5 @@ func TestEmptyFaultPlanByteIdentity(t *testing.T) {
 	}
 	if got := runWith(unfired, true); got != base {
 		t.Errorf("armed never-firing plan changed report bytes: %s", firstDiff(base, got))
-	}
-}
-
-// TestChaosCrashResume is the durability property suite: for each seed,
-// a journaled fleet sweep is killed at several offsets (scheduled-only,
-// mid-sweep, last record, torn tail) and its journal damaged (bit
-// flip), then resumed on a freshly rebuilt fleet. Every resume must
-// reproduce the uninterrupted run's verdicts, hashes, and fleet digest,
-// never re-scan a committed host, and refuse damaged journals loudly.
-func TestChaosCrashResume(t *testing.T) {
-	seeds := 5
-	if testing.Short() {
-		seeds = 1
-	}
-	variants := 0
-	for i := 0; i < seeds; i++ {
-		seed := CaseSeed(77, i)
-		s, err := RunCrashResume(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		variants += s.Variants
-		for _, v := range s.Violations {
-			t.Errorf("seed %d: %s", seed, v)
-		}
-	}
-	if !testing.Short() && variants < 20 {
-		t.Errorf("crash suite ran %d variants, want >= 20", variants)
 	}
 }

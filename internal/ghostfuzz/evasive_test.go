@@ -87,9 +87,9 @@ func TestEvasiveDifferentialOracle(t *testing.T) {
 		t.Errorf("randomized order caught %d of %d evasive processes", n, len(c2.Expect.Evasive))
 	}
 
-	// The packaged oracle agrees end to end.
-	for _, v := range RunCaseEvasive(spec) {
-		t.Errorf("RunCaseEvasive: %s", v)
+	// The evasive host rows agree end to end.
+	for _, v := range runSpec(spec, nil) {
+		t.Errorf("evasive rows: %s", v)
 	}
 }
 
@@ -282,7 +282,8 @@ func TestChaosBootRemovableLoudNeverSilent(t *testing.T) {
 		}
 		// No fault fabricates a finding on either pair.
 		for _, idx := range []int{5, 6} {
-			for _, id := range sortedKeys(unmatchedHidden(c, idx, reports[idx])) {
+			_, extra := units[idx].pair(c.Expect, reports[idx])
+			for _, id := range extra {
 				t.Errorf("%s: fault-induced false positive in report %d: %s", name, idx, id)
 			}
 		}

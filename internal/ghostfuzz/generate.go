@@ -25,7 +25,7 @@ var hookLevels = []winapi.Level{
 
 // atomKinds is the random-composition lattice. AtomEvasive is
 // deliberately absent: evasive specs need the order-sensitive
-// sequential oracle (RunCaseEvasive) and enter only via the corpus.
+// sequential rows and enter only via the corpus.
 var atomKinds = []ghostware.AtomKind{
 	ghostware.AtomFileHide, ghostware.AtomWin32Name, ghostware.AtomADS,
 	ghostware.AtomRegHide, ghostware.AtomRegNul, ghostware.AtomProcHide,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,6 +13,21 @@ import (
 	"ghostbuster/internal/ghostware"
 	"ghostbuster/internal/winapi"
 )
+
+// runSpec judges a spec through every host row that applies to it.
+func runSpec(spec CaseSpec, b *Breaker) []Violation {
+	return judgeSpec(spec, regexp.MustCompile(""), b, map[string]int{})
+}
+
+// replay parses one spec line and judges it like runSpec.
+func replay(t *testing.T, line string, b *Breaker) []Violation {
+	t.Helper()
+	spec, err := ParseSpec(line)
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	return runSpec(spec, b)
+}
 
 func TestSpecRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
@@ -38,6 +54,7 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 		"ghostfuzz-v1 seed=1 atoms=file/1/all",        // hooked kind without level
 		"ghostfuzz-v1 seed=1 atoms=ads@ssdt/1/all",    // hookless kind with level
 		"ghostfuzz-v1 seed=1 atoms=ads/0/all",         // zero count
+		"ghostfuzz-v1 seed=1 atoms=ads/1001/all",      // count above MaxAtomCount
 		"ghostfuzz-v1 seed=1 atoms=ads/1/utils",       // hookless kind scoped
 		"ghostfuzz-v1 seed=1 atoms=file@ssdt/1/weird", // unknown scope
 	} {
@@ -107,11 +124,7 @@ func TestLatticePillars(t *testing.T) {
 		"ghostfuzz-v1 seed=30 atoms=mod@ssdt/1/all",
 		"ghostfuzz-v1 seed=31 atoms=decoy@ssdt/110/all",
 	} {
-		violations, err := Replay(line, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		for _, v := range violations {
+		for _, v := range replay(t, line, nil) {
 			t.Errorf("%s: %s", line, v)
 		}
 	}
@@ -141,7 +154,7 @@ func TestBrokenDetectorShrinksToMinimalSpec(t *testing.T) {
 		t.Fatalf("first violation = %s, want coverage", target)
 	}
 
-	shrunk := Shrink(spec, target, broken)
+	shrunk := shrink(spec, target, func(s CaseSpec) []Violation { return runSpec(s, broken) })
 	if len(shrunk.Atoms) > 3 {
 		t.Errorf("shrunk to %d techniques, want <= 3: %s", len(shrunk.Atoms), shrunk)
 	}
@@ -150,10 +163,7 @@ func TestBrokenDetectorShrinksToMinimalSpec(t *testing.T) {
 	}
 
 	// The shrunk spec must replay to the same invariant+mode failure.
-	replayed, err := Replay(shrunk.String(), broken)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := replay(t, shrunk.String(), broken)
 	found := false
 	for _, v := range replayed {
 		if sameFailure(v, target) {
@@ -180,11 +190,7 @@ func TestBrokenDetectorShrinksToMinimalSpec(t *testing.T) {
 
 	// Without the breaker the same spec passes: the corpus entry guards
 	// the fix, it does not encode a permanent failure.
-	clean, err := Replay(shrunk.String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clean) != 0 {
+	if clean := replay(t, shrunk.String(), nil); len(clean) != 0 {
 		t.Errorf("shrunk spec fails even with a healthy detector: %v", clean)
 	}
 }
@@ -225,25 +231,15 @@ func TestCorpusReplay(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("corpus is empty; expected the seeded specs")
 	}
-	failures, err := ReplayAll(dir, nil)
+	s, err := Run(Options{Specs: specs, NoShrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for spec, vs := range failures {
-		t.Errorf("corpus spec %s regressed: %v", spec, vs)
+	if s.Cases != len(specs) {
+		t.Errorf("replayed %d of %d corpus specs", s.Cases, len(specs))
 	}
-}
-
-func TestFleetFuzz(t *testing.T) {
-	summary, err := RunFleet(FleetOptions{Seed: 5, Hosts: 4, Parallelism: 2, HostParallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if summary.Hosts != 4 {
-		t.Errorf("hosts = %d, want 4", summary.Hosts)
-	}
-	for _, v := range summary.Violations {
-		t.Errorf("fleet violation: %s", v)
+	for _, f := range s.Failures {
+		t.Errorf("corpus spec %s regressed: %v", f.Spec, f.Violations)
 	}
 }
 

@@ -7,17 +7,15 @@ import (
 	"strings"
 
 	"ghostbuster/internal/core"
-	"ghostbuster/internal/crashdump"
-	"ghostbuster/internal/winpe"
 )
 
 // The oracle's invariant names, stable so shrinking can match on them.
 const (
 	// InvCoverage: a planted artifact is missing from the report of a
-	// mode the paper claims catches it.
+	// row the paper claims catches it.
 	InvCoverage = "coverage"
-	// InvConsistency: a parallel or cached configuration's reports
-	// diverge from the sequential cold-scan reports.
+	// InvConsistency: a row's reports or per-host verdicts diverge from
+	// its reference.
 	InvConsistency = "consistency"
 	// InvInnocent: a finding survived noise filtering that matches no
 	// planted artifact — a false positive.
@@ -25,12 +23,15 @@ const (
 	// InvMassHiding: the §5 anomaly flag disagrees with the planted
 	// hidden-file count.
 	InvMassHiding = "mass-hiding"
-	// InvError: a detection mode failed outright (error or captured
-	// panic).
+	// InvError: a row failed outright (error or captured panic).
 	InvError = "error"
+	// InvDurability: a fleet row diverged from the uninterrupted run,
+	// lost work it had committed, accepted a damaged journal silently,
+	// or did not heal the way the row declares.
+	InvDurability = "durability"
 )
 
-// Violation is one invariant breach in one detection mode.
+// Violation is one invariant breach in one matrix row (its mode).
 type Violation struct {
 	Invariant string `json:"invariant"`
 	Mode      string `json:"mode"`
@@ -48,7 +49,7 @@ func sameFailure(a, b Violation) bool {
 }
 
 // Breaker is the test-only detector saboteur: it drops hidden findings
-// from reports after scanning and before invariant checks, simulating a
+// from a row's reports after scanning and before judging, simulating a
 // detector that silently misses a class of artifacts. The acceptance
 // path proves a broken detector produces a shrunk, replayable spec.
 type Breaker struct {
@@ -77,331 +78,146 @@ func (b *Breaker) apply(mode string, reports []*core.Report) []*core.Report {
 	return out
 }
 
-// The inside-the-box detection configurations the oracle compares. Each
-// builds a fresh detector over the same machine; lanes and caching must
-// not change a single report byte (cached runs modulo virtual elapsed
-// time, which legitimately shrinks on a warm cache).
-type insideMode struct {
-	name        string
-	parallelism int
-	cached      bool
-	// warmup runs ScanAll once before the measured run (warm cache).
-	warmup bool
-	// zeroElapsed compares reports with Elapsed zeroed: cache hits
-	// charge cheaper verify costs, so elapsed differs by design.
-	zeroElapsed bool
+// unit is one report of a full sweep, in sweep order (the four paper
+// pairs, then the kmem carve, boot chain and removable volume): the
+// artifacts planted for it and how a hidden finding's ID names one.
+type unit struct {
+	what    string
+	planted func(Expectation) []string
+	matches func(id, want string) bool
+	// massHiding: the report must also carry the §5 anomaly flag exactly
+	// when the planted file count crosses the threshold.
+	massHiding bool
 }
 
-var insideModes = []insideMode{
-	{name: "inside-seq"},
-	{name: "inside-par2", parallelism: 2},
-	{name: "inside-par8", parallelism: 8},
-	{name: "inside-cached-cold", cached: true, zeroElapsed: true},
-	{name: "inside-cached-warm", cached: true, warmup: true, zeroElapsed: true},
+// Report indices of the units the outside-the-box rows judge.
+const (
+	unitFiles = 0
+	unitASEPs = 1
+	unitProcs = 2
+	unitMods  = 3
+)
+
+// units is the whole ground-truth model of the host judge: coverage,
+// innocence, mass-hiding and fault-induced false positives all derive
+// from it.
+var units = [...]unit{
+	{"file", func(e Expectation) []string { return e.Files }, sameID, true},
+	{"ASEP", func(e Expectation) []string { return e.ASEPs }, hookMatches, false},
+	{"process", func(e Expectation) []string { return e.Procs }, procMatches, false},
+	{"module", func(e Expectation) []string { return e.Mods }, strings.Contains, false},
+	{"memory-only process", func(e Expectation) []string { return e.MemOnly }, procMatches, false},
+	{"boot region", func(e Expectation) []string { return e.Boot }, regionMatches, false},
+	{"removable file", func(e Expectation) []string { return e.USB }, sameID, false},
 }
 
-// allUnits enables every next-gen scan unit: the oracle always judges
-// the full 7-report sweep (four paper pairs plus kmem carve, boot
-// chain, and the removable volume).
-const allUnits = core.UnitCrossMem | core.UnitBootChain | core.UnitRemovable
+func sameID(id, want string) bool { return id == want }
 
-// RunCase runs every detection configuration against the case and
-// returns all invariant violations (nil means the case passed). The
-// breaker, when non-nil, sabotages reports before checking — used only
-// by tests and the shrinker acceptance path.
-func RunCase(c *Case, b *Breaker) []Violation {
-	var out []Violation
-	report := func(v ...Violation) { out = append(out, v...) }
+// procMatches: process finding IDs end with ": NAME" uppercased.
+func procMatches(id, name string) bool { return strings.HasSuffix(id, ": "+strings.ToUpper(name)) }
 
-	// Inside-the-box: sequential is the reference; every other lane and
-	// cache configuration must agree with it.
-	var refReports []*core.Report
-	var refJSON string
-	for _, mode := range insideModes {
-		d := core.NewDetector(c.M)
-		if mode.cached {
-			d = core.NewCachedDetector(c.M)
-		}
-		d.Advanced = true
-		d.Units = allUnits
-		d.Parallelism = mode.parallelism
-		if mode.warmup {
-			if _, err := d.ScanAll(); err != nil {
-				report(Violation{InvError, mode.name, "warmup: " + err.Error()})
-				continue
-			}
-		}
-		reports, err := d.ScanAll()
-		if err != nil {
-			report(Violation{InvError, mode.name, err.Error()})
-			continue
-		}
-		reports = b.apply(mode.name, reports)
-		if refReports == nil {
-			refReports = reports
-			refJSON = canonicalJSON(reports, false)
-			report(checkInside(c, mode.name, reports)...)
-			continue
-		}
-		got := canonicalJSON(reports, mode.zeroElapsed)
-		want := refJSON
-		if mode.zeroElapsed {
-			want = canonicalJSON(refReports, true)
-		}
-		if got != want {
-			report(Violation{InvConsistency, mode.name,
-				fmt.Sprintf("reports diverge from inside-seq: %s", firstDiff(want, got))})
-		}
-	}
+// regionMatches: boot-chain finding IDs are "NAME:STATUS"; the raw view
+// of a tampered region surfaces as hidden ("CODE:tampered@...").
+func regionMatches(id, region string) bool { return strings.HasPrefix(id, region+":") }
 
-	// Outside-the-box volatile state: crash-dump walks, no reboot.
-	if r, err := crashdump.OutsideProcessCheck(c.M, true); err != nil {
-		report(Violation{InvError, "crashdump-procs", err.Error()})
-	} else {
-		r = b.apply("crashdump-procs", []*core.Report{r})[0]
-		report(checkProcs(c, "crashdump-procs", r)...)
-	}
-	if r, err := crashdump.OutsideModuleCheck(c.M); err != nil {
-		report(Violation{InvError, "crashdump-mods", err.Error()})
-	} else {
-		r = b.apply("crashdump-mods", []*core.Report{r})[0]
-		report(checkMods(c, "crashdump-mods", r)...)
-	}
-
-	// Outside-the-box persistent state: WinPE CD boots. These reboot the
-	// machine (churn, ASEP refire), so they run last.
-	if r, err := winpe.OutsideFileCheck(c.M, core.DiffOptions{}); err != nil {
-		report(Violation{InvError, "winpe-files", err.Error()})
-	} else {
-		r = b.apply("winpe-files", []*core.Report{r})[0]
-		report(checkFiles(c, "winpe-files", r)...)
-		report(checkMassHiding(c, "winpe-files", r)...)
-	}
-	if r, err := winpe.OutsideASEPCheck(c.M, core.DiffOptions{}); err != nil {
-		report(Violation{InvError, "winpe-aseps", err.Error()})
-	} else {
-		r = b.apply("winpe-aseps", []*core.Report{r})[0]
-		report(checkASEPs(c, "winpe-aseps", r)...)
-	}
-	return out
-}
-
-// checkInside verifies coverage + innocence for a full-unit inside
-// sweep (paper order: files, ASEPs, processes, modules, then the
-// next-gen units: kmem carve, boot chain, removable).
-func checkInside(c *Case, mode string, reports []*core.Report) []Violation {
-	if len(reports) != 7 {
-		return []Violation{{InvError, mode, fmt.Sprintf("%d reports, want 7", len(reports))}}
-	}
-	var out []Violation
-	out = append(out, checkFiles(c, mode, reports[0])...)
-	out = append(out, checkMassHiding(c, mode, reports[0])...)
-	out = append(out, checkASEPs(c, mode, reports[1])...)
-	out = append(out, checkProcs(c, mode, reports[2])...)
-	out = append(out, checkMods(c, mode, reports[3])...)
-	out = append(out, checkMemOnly(c, mode, reports[4])...)
-	out = append(out, checkBootChain(c, mode, reports[5])...)
-	out = append(out, checkRemovable(c, mode, reports[6])...)
-	return out
-}
-
-func hiddenIDs(r *core.Report) map[string]bool {
-	ids := make(map[string]bool, len(r.Hidden))
-	for _, f := range r.Hidden {
-		ids[f.ID] = true
-	}
-	return ids
-}
-
-// checkFiles: the hidden set must equal the planted file IDs exactly.
-func checkFiles(c *Case, mode string, r *core.Report) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	for _, want := range c.Expect.Files {
-		if !found[want] {
-			out = append(out, Violation{InvCoverage, mode, "hidden file not reported: " + printable(want)})
-			continue
-		}
-		delete(found, want)
-	}
-	for _, id := range sortedKeys(found) {
-		out = append(out, Violation{InvInnocent, mode, "innocent file flagged: " + printable(id)})
-	}
-	return out
-}
-
-// checkASEPs: every planted hook spec matches a finding, every finding
-// matches a planted spec, counts agree.
-func checkASEPs(c *Case, mode string, r *core.Report) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	for _, spec := range c.Expect.ASEPs {
-		if !hookDetected(found, spec) {
-			out = append(out, Violation{InvCoverage, mode, "hidden ASEP not reported: " + printable(spec)})
-		}
-	}
-	for _, id := range sortedKeys(found) {
-		ok := false
-		for _, spec := range c.Expect.ASEPs {
-			if hookMatches(id, spec) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			out = append(out, Violation{InvInnocent, mode, "innocent ASEP flagged: " + printable(id)})
-		}
-	}
-	if len(found) != len(c.Expect.ASEPs) && len(out) == 0 {
-		out = append(out, Violation{InvInnocent, mode,
-			fmt.Sprintf("%d hidden ASEP findings for %d planted hooks", len(found), len(c.Expect.ASEPs))})
-	}
-	return out
-}
-
-// checkProcs: process finding IDs end with ": NAME"; one per planted
-// process.
-func checkProcs(c *Case, mode string, r *core.Report) []Violation {
-	return checkProcNames(mode, r, c.Expect.Procs, "process")
-}
-
-// checkMemOnly: the kernel-vs-pool-carve unit reports exactly the
-// memory-only processes. Every other hider class stays visible to the
-// CID handle table, so the carve diff is empty for them.
-func checkMemOnly(c *Case, mode string, r *core.Report) []Violation {
-	return checkProcNames(mode, r, c.Expect.MemOnly, "memory-only process")
-}
-
-func checkProcNames(mode string, r *core.Report, want []string, what string) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	for _, name := range want {
-		suffix := ": " + strings.ToUpper(name)
-		matched := ""
-		for id := range found {
-			if strings.HasSuffix(id, suffix) {
-				matched = id
-				break
-			}
-		}
-		if matched == "" {
-			out = append(out, Violation{InvCoverage, mode, "hidden " + what + " not reported: " + name})
-			continue
-		}
-		delete(found, matched)
-	}
-	for _, id := range sortedKeys(found) {
-		out = append(out, Violation{InvInnocent, mode, "innocent " + what + " flagged: " + id})
-	}
-	return out
-}
-
-// checkBootChain: boot-region finding IDs are "NAME:STATUS"; the raw
-// view of a tampered region surfaces as hidden ("CODE:tampered@...")
-// while the sanitizer's pristine lie becomes phantom. Several bootkit
-// atoms patch the same CODE region, so expectations dedupe by name.
-func checkBootChain(c *Case, mode string, r *core.Report) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	want := map[string]bool{}
-	for _, region := range c.Expect.Boot {
-		want[region] = true
-	}
-	for _, region := range sortedKeys(want) {
-		matched := ""
-		for id := range found {
-			if strings.HasPrefix(id, region+":") {
-				matched = id
-				break
-			}
-		}
-		if matched == "" {
-			out = append(out, Violation{InvCoverage, mode, "tampered boot region not reported: " + region})
-			continue
-		}
-		delete(found, matched)
-	}
-	for _, id := range sortedKeys(found) {
-		out = append(out, Violation{InvInnocent, mode, "innocent boot region flagged: " + id})
-	}
-	return out
-}
-
-// checkRemovable: the hidden set must equal the planted removable
-// payload paths exactly (full uppercase E:\ finding IDs).
-func checkRemovable(c *Case, mode string, r *core.Report) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	for _, want := range c.Expect.USB {
-		if !found[want] {
-			out = append(out, Violation{InvCoverage, mode, "hidden removable file not reported: " + printable(want)})
-			continue
-		}
-		delete(found, want)
-	}
-	for _, id := range sortedKeys(found) {
-		out = append(out, Violation{InvInnocent, mode, "innocent removable file flagged: " + printable(id)})
-	}
-	return out
-}
-
-// checkMods: module finding IDs contain the hidden DLL base name; one
-// per planted module.
-func checkMods(c *Case, mode string, r *core.Report) []Violation {
-	var out []Violation
-	found := hiddenIDs(r)
-	for _, frag := range c.Expect.Mods {
-		matched := ""
-		for id := range found {
-			if strings.Contains(id, frag) {
-				matched = id
-				break
-			}
-		}
-		if matched == "" {
-			out = append(out, Violation{InvCoverage, mode, "hidden module not reported: " + frag})
-			continue
-		}
-		delete(found, matched)
-	}
-	for _, id := range sortedKeys(found) {
-		out = append(out, Violation{InvInnocent, mode, "innocent module flagged: " + id})
-	}
-	return out
-}
-
-// checkMassHiding: the anomaly flag must match the planted count.
-func checkMassHiding(c *Case, mode string, r *core.Report) []Violation {
-	flagged := r.MassHiding != nil
-	if flagged == c.Expect.MassHiding {
-		return nil
-	}
-	return []Violation{{InvMassHiding, mode,
-		fmt.Sprintf("anomaly flagged=%v with %d planted hidden files (threshold %d)",
-			flagged, len(c.Expect.Files), core.DefaultMassHidingThreshold)}}
-}
-
-// hookDetected matches a ground-truth spec ("KEY" or "KEY|VALUE")
-// against finding IDs ("KEY -> VALUE", upper-cased), the same way the
+// hookMatches matches a ground-truth spec ("KEY" or "KEY|VALUE")
+// against a finding ID ("KEY -> VALUE", upper-cased), the same way the
 // ghostware table tests do.
-func hookDetected(found map[string]bool, spec string) bool {
-	for id := range found {
-		if hookMatches(id, spec) {
-			return true
-		}
-	}
-	return false
-}
-
 func hookMatches(id, spec string) bool {
-	keyPart, valPart := spec, ""
-	if i := strings.IndexByte(spec, '|'); i >= 0 {
-		keyPart, valPart = spec[:i], spec[i+1:]
-	}
+	keyPart, valPart, _ := strings.Cut(spec, "|")
 	if !strings.HasPrefix(id, strings.ToUpper(keyPart)) {
 		return false
 	}
 	return valPart == "" || strings.HasSuffix(id, strings.ToUpper(valPart))
+}
+
+// pair matches planted artifacts to the report's hidden finding IDs one
+// to one, maximally (augmenting paths over IDs in sorted order), and
+// returns the planted artifacts left unreported and the IDs that match
+// none. A maximum matching is order-free, so nested hook specs or a
+// prefix-sharing name can never make a reported artifact look missing.
+func (u unit) pair(e Expectation, r *core.Report) (missing, extra []string) {
+	planted := u.planted(e)
+	ids := make([]string, len(r.Hidden))
+	for i, f := range r.Hidden {
+		ids[i] = f.ID
+	}
+	sort.Strings(ids)
+	owner := make([]int, len(ids)) // planted index holding ids[j], or -1
+	for j := range owner {
+		owner[j] = -1
+	}
+	var claim func(i int, seen []bool) bool
+	claim = func(i int, seen []bool) bool {
+		for j, id := range ids {
+			if seen[j] || !u.matches(id, planted[i]) {
+				continue
+			}
+			seen[j] = true
+			if owner[j] < 0 || claim(owner[j], seen) {
+				owner[j] = i
+				return true
+			}
+		}
+		return false
+	}
+	for i, want := range planted {
+		if !claim(i, make([]bool, len(ids))) {
+			missing = append(missing, want)
+		}
+	}
+	for j, id := range ids {
+		if owner[j] < 0 {
+			extra = append(extra, id)
+		}
+	}
+	return missing, extra
+}
+
+// damaged reports whether any unit feeding r was lost or partial: a
+// degraded unit, or skipped targets on either side. Claims of absence
+// ("artifact X was not reported") are not trustworthy for such a report.
+func damaged(r *core.Report) bool {
+	return r.Degraded() || r.HighSkipped > 0 || r.LowSkipped > 0
+}
+
+// judgeUnit checks report r as unit i against the planted truth. Under
+// fire (a contained fault plan armed), a damaged report is held only to
+// innocence: a fault may hide an artifact, never invent one.
+func judgeUnit(e Expectation, mode string, i int, r *core.Report, underFire bool) []Violation {
+	u := units[i]
+	missing, extra := u.pair(e, r)
+	var out []Violation
+	if underFire && damaged(r) {
+		for _, id := range extra {
+			out = append(out, Violation{InvInnocent, mode, "fault-induced false positive: " + printable(id)})
+		}
+		return out
+	}
+	for _, want := range missing {
+		out = append(out, Violation{InvCoverage, mode, "hidden " + u.what + " not reported: " + printable(want)})
+	}
+	for _, id := range extra {
+		out = append(out, Violation{InvInnocent, mode, "innocent " + u.what + " flagged: " + printable(id)})
+	}
+	if flagged := r.MassHiding != nil; u.massHiding && flagged != e.MassHiding {
+		out = append(out, Violation{InvMassHiding, mode,
+			fmt.Sprintf("anomaly flagged=%v with %d planted hidden files (threshold %d)",
+				flagged, len(e.Files), core.DefaultMassHidingThreshold)})
+	}
+	return out
+}
+
+// judge checks a full seven-report sweep unit by unit.
+func judge(e Expectation, mode string, reports []*core.Report, underFire bool) []Violation {
+	if len(reports) != len(units) {
+		return []Violation{{InvError, mode, fmt.Sprintf("%d reports, want %d", len(reports), len(units))}}
+	}
+	var out []Violation
+	for i, r := range reports {
+		out = append(out, judgeUnit(e, mode, i, r, underFire)...)
+	}
+	return out
 }
 
 // canonicalJSON renders reports for byte comparison; zeroElapsed strips
@@ -425,35 +241,13 @@ func canonicalJSON(reports []*core.Report, zeroElapsed bool) string {
 
 // firstDiff summarizes where two canonical JSON strings diverge.
 func firstDiff(want, got string) string {
-	n := len(want)
-	if len(got) < n {
-		n = len(got)
-	}
 	i := 0
-	for i < n && want[i] == got[i] {
+	for i < len(want) && i < len(got) && want[i] == got[i] {
 		i++
 	}
-	lo := i - 30
-	if lo < 0 {
-		lo = 0
-	}
-	hiW, hiG := i+30, i+30
-	if hiW > len(want) {
-		hiW = len(want)
-	}
-	if hiG > len(got) {
-		hiG = len(got)
-	}
-	return fmt.Sprintf("at byte %d: want ...%s..., got ...%s...", i, want[lo:hiW], got[lo:hiG])
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	lo := max(i-30, 0)
+	return fmt.Sprintf("at byte %d: want ...%s..., got ...%s...",
+		i, want[lo:min(i+30, len(want))], got[lo:min(i+30, len(got))])
 }
 
 func printable(s string) string { return strings.ReplaceAll(s, "\x00", `\0`) }

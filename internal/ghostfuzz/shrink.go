@@ -2,17 +2,17 @@ package ghostfuzz
 
 import "ghostbuster/internal/ghostware"
 
-// Shrink greedily minimizes a failing spec while the same failure (same
+// shrink greedily minimizes a failing spec while the same failure (same
 // invariant, same mode) persists: first drop whole atoms, then reduce
 // surviving atoms' artifact counts to 1. Every candidate is rebuilt and
-// re-run from scratch, so the result is a spec that still reproduces
+// re-judged from scratch, so the result is a spec that still reproduces
 // the target violation on replay. Build errors during shrinking count
 // as "not failing" — the shrinker never trades the target failure for a
 // different one. A chaos spec's fault plan is the failure's environment,
 // not its payload, so it is carried into every candidate unshrunk.
-func Shrink(spec CaseSpec, target Violation, b *Breaker) CaseSpec {
+func shrink(spec CaseSpec, target Violation, judge func(CaseSpec) []Violation) CaseSpec {
 	fails := func(s CaseSpec) bool {
-		for _, v := range runSpec(s, b) {
+		for _, v := range judge(s) {
 			if sameFailure(v, target) {
 				return true
 			}

@@ -1,15 +1,16 @@
 // Package ghostfuzz is a seeded, deterministic property-based adversary
-// generator and differential detection oracle for the GhostBuster
-// pipeline. It composes random ghostware from the full technique
-// lattice (hook levels × resource types, plus the hookless name tricks,
-// DKOM, targeting and decoy behaviours), installs each on a randomized
-// workload machine, runs every detection configuration — sequential,
-// parallel lanes, warm and cold cache, crash dump, WinPE — and asserts
-// three invariants: every planted artifact is caught by the mode the
-// paper claims catches it, every configuration agrees byte-for-byte,
-// and zero innocent artifacts are flagged after noise filtering.
-// Failures shrink to a one-line reproducible spec kept as a permanent
-// regression corpus.
+// generator and topology oracle for the GhostBuster pipeline. It
+// composes random ghostware from the full technique lattice (hook
+// levels × resource types, plus the hookless name tricks, DKOM,
+// targeting and decoy behaviours), installs each on a randomized
+// workload machine, and runs it through one declarative matrix of
+// execution topologies: a host table (sequential, parallel lanes, warm
+// and cold cache, contained fault plans, scan orders, crash dump,
+// WinPE) judged against the planted ground truth, and a fleet table
+// (plain, journaled, killed and resumed, sharded, lost shards, wedged,
+// hedged and retried sweeps) judged against one uninterrupted
+// reference. Failures shrink to a one-line reproducible spec kept as a
+// permanent regression corpus.
 package ghostfuzz
 
 import (
@@ -25,6 +26,13 @@ import (
 // specVersion prefixes every spec line; bump only with a format change.
 const specVersion = "ghostfuzz-v1"
 
+// MaxAtomCount bounds an atom's artifact count in a parsed spec. A
+// composite declares and installs that many artifacts per atom, so an
+// unbounded count in a replayed line or corpus file would let hostile
+// input allocate without limit. It sits well above the generator's
+// largest count (124, a decoy) and the corpus's (120).
+const MaxAtomCount = 1000
+
 // CaseSpec fully determines one fuzz case: the seed picks the machine
 // profile (and nothing else — artifact names derive from atom indices),
 // the atom list is the composed ghostware. A spec round-trips through
@@ -33,9 +41,8 @@ type CaseSpec struct {
 	Seed  int64
 	Atoms []ghostware.Atom
 	// Faults, when non-empty, makes this a chaos case: the plan (seeded
-	// with Seed) is armed against the machine and the case is judged by
-	// the degradation oracle (RunCaseFaulted) instead of the differential
-	// one.
+	// with Seed) is armed against the machine by the contained host rows
+	// instead of the clean ones.
 	Faults []faultinject.Fault
 }
 
@@ -102,8 +109,10 @@ func scopeToken(a ghostware.Atom) string {
 	}
 }
 
-// ParseSpec parses a one-line spec back into a CaseSpec. It is the
-// inverse of String and rejects anything it would not itself emit.
+// ParseSpec parses a one-line spec back into a CaseSpec. It parses
+// every line String emits, rejects malformed or out-of-range fields,
+// and any spec it accepts renders (String) to a line that parses back
+// to an equal spec.
 func ParseSpec(line string) (CaseSpec, error) {
 	var s CaseSpec
 	fields := strings.Fields(strings.TrimSpace(line))
@@ -148,7 +157,7 @@ func ParseSpec(line string) (CaseSpec, error) {
 }
 
 // hasEvasive reports whether the atom list contains the adaptive-evasion
-// kind, which routes the spec to the order-sensitive evasive oracle.
+// kind, which makes the spec evasive: only sequential rows apply.
 func hasEvasive(atoms []ghostware.Atom) bool {
 	for _, a := range atoms {
 		if a.Kind == ghostware.AtomEvasive {
@@ -191,8 +200,8 @@ func parseAtom(tok string) (ghostware.Atom, error) {
 		return a, fmt.Errorf("ghostfuzz: hooked atom %q needs @level", tok)
 	}
 	count, err := strconv.Atoi(parts[1])
-	if err != nil || count < 1 {
-		return a, fmt.Errorf("ghostfuzz: atom %q: bad count %q", tok, parts[1])
+	if err != nil || count < 1 || count > MaxAtomCount {
+		return a, fmt.Errorf("ghostfuzz: atom %q: bad count %q (want 1..%d)", tok, parts[1], MaxAtomCount)
 	}
 	a.Count = count
 	switch {

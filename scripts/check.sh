@@ -2,28 +2,14 @@
 # Full local gate: vet, build, and the whole test suite under the race
 # detector (the fleet scheduler is the main concurrency surface), plus
 # the chaos suite, a coverage floor on the core detection packages, and
-# the deterministic ghostfuzz smoke runs.
+# the deterministic ghostfuzz matrix smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
-# matrix FLAGS PATTERN PKG runs `go test FLAGS -run PATTERN PKG`, first
-# checking that every |-separated alternative of PATTERN selects at
-# least one test in PKG: go test prints ok for a pattern that matches
-# nothing, so a renamed test would otherwise drop out of a matrix
-# silently.
-matrix() {
-	flags=$1 pattern=$2 pkg=$3
-	old_ifs=$IFS
-	IFS='|'
-	for alt in $pattern; do
-		if ! go test -list "$alt" "$pkg" | grep -q '^Test'; then
-			echo "FAIL: -run alternative '$alt' selects no test in $pkg"
-			exit 1
-		fi
-	done
-	IFS=$old_ifs
-	go test $flags -run "$pattern" "$pkg"
-}
+# matrix FLAGS PATTERN PKG runs `go test FLAGS -run PATTERN PKG` after
+# checking that every alternative of PATTERN selects a test (see
+# scripts/matrix.sh, which CI runs too).
+matrix() { sh scripts/matrix.sh "$@"; }
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
@@ -45,8 +31,10 @@ go test -race ./...
 echo "==> chaos suite under -race (fault-injection property tests)"
 matrix '-race' 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
 
-echo "==> crash-resume matrix under -race (kill at sched/mid/last offsets, torn tail, bit flip)"
-matrix '-race' 'TestChaosCrashResume' ./internal/ghostfuzz/
+echo "==> fleet topology matrix under -race (plain and sharded sweeps; kill at sched/mid/last, torn tail, bit flip; shard loss; wedge, hedge, jitter)"
+matrix '-race' 'TestFleetMatrix|TestFleetBreakerJSONDeterministic' ./internal/ghostfuzz/
+
+echo "==> crash-resume unit matrix under -race"
 matrix '-race' 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
 matrix '-race' 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
 
@@ -57,8 +45,7 @@ echo "==> daemon smoke under -race (boot, API sweep, graceful drain; locked-prof
 matrix '-race' 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
 matrix '-race' 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
 
-echo "==> supervision matrix under -race (wedge failover, wedge-crash resume, hedged stragglers, jittered retries, cancel-seal)"
-matrix '-race' 'TestSupervisionChaos' ./internal/ghostfuzz/
+echo "==> supervision unit matrix under -race (wedge failover, hedged stragglers, jittered retries, cancel-seal; the ghostfuzz rows run in the fleet topology matrix)"
 matrix '-race' 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
 matrix '-race' 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties|TestSweepDigestsGolden' ./internal/fleet/
 matrix '-race' 'TestRetryPolicy|TestWatchdog' ./internal/supervise/
@@ -78,6 +65,9 @@ matrix '' 'TestWin32VisibleAllocs' ./internal/winapi/
 echo "==> native fuzz (UTF-16 name decode vs unicode/utf16, 10s)"
 go test -run '^$' -fuzz '^FuzzDecodeUTF16$' -fuzztime 10s ./internal/ntfs/
 
+echo "==> native fuzz (ghostfuzz spec parser round trip, 10s)"
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/ghostfuzz/
+
 echo "==> coverage floor (>= 70% on the detection core, cross-time/kmem truth sources, daemon, supervision, and profile store)"
 go test -cover ./internal/core/ ./internal/ntfs/ ./internal/hive/ ./internal/crosstime/ ./internal/kmem/ ./internal/fleet/ ./internal/fleetshard/ ./internal/journal/ ./internal/daemon/ ./internal/profile/ ./internal/supervise/ |
 	awk '
@@ -92,19 +82,10 @@ go test -cover ./internal/core/ ./internal/ntfs/ ./internal/hive/ ./internal/cro
 echo "==> perf gate (sweepbench vs committed BENCH_sweep.json, deterministic metrics)"
 sh scripts/benchgate.sh
 
-echo "==> ghostfuzz smoke (fixed seed, 50 cases)"
+echo "==> ghostfuzz matrix smokes (fixed seeds; together they run every host and fleet row)"
 go run ./cmd/ghostfuzz -seed 1 -n 50 > /dev/null
-
-echo "==> ghostfuzz chaos smoke (fixed seed, 25 faulted cases)"
-go run ./cmd/ghostfuzz -seed 1 -n 25 -faulted > /dev/null
-
-echo "==> ghostfuzz crash-resume smoke (fixed seed, 2 killed sweeps)"
-go run ./cmd/ghostfuzz -seed 1 -crashed 2 > /dev/null
-
-echo "==> ghostfuzz sharded crash-resume smoke (fixed seed, 2 sweeps, 3 shards)"
-go run ./cmd/ghostfuzz -seed 1 -crashed 2 -shards 3 > /dev/null
-
-echo "==> ghostfuzz supervision chaos smoke (fixed seed, wedge/straggler/jitter matrix, 3 shards)"
-go run ./cmd/ghostfuzz -seed 131 -supervised 1 -shards 3 > /dev/null
+go run ./cmd/ghostfuzz -seed 1 -n 25 -rows '^faulted-' > /dev/null
+go run ./cmd/ghostfuzz -replay @testdata/ghostfuzz/corpus/seed-evasive-mix.spec > /dev/null
+go run ./cmd/ghostfuzz -seed 1 -n 2 -rows / > /dev/null
 
 echo "OK"

@@ -1,0 +1,21 @@
+#!/bin/sh
+# matrix.sh FLAGS PATTERN PKG runs `go test FLAGS -run PATTERN PKG`,
+# first checking that every |-separated alternative of PATTERN selects
+# at least one test in PKG: go test prints ok for a pattern that matches
+# nothing, so a renamed test would otherwise drop out of a gate
+# silently. scripts/check.sh and the CI workflow both run their test
+# matrices through it.
+#
+#   sh scripts/matrix.sh '-race -v' 'TestFleetMatrix|TestChaos' ./internal/ghostfuzz/
+set -eu
+flags=$1 pattern=$2 pkg=$3
+old_ifs=$IFS
+IFS='|'
+for alt in $pattern; do
+	if ! go test -list "$alt" "$pkg" | grep -q '^Test'; then
+		echo "FAIL: -run alternative '$alt' selects no test in $pkg"
+		exit 1
+	fi
+done
+IFS=$old_ifs
+go test $flags -run "$pattern" "$pkg"
