@@ -2,6 +2,7 @@ package ghostfuzz
 
 import (
 	"encoding/json"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -9,31 +10,41 @@ import (
 	"ghostbuster/internal/core"
 )
 
-// TestFleetMatrix is the topology property suite. For each seed one
+// fleetGroups splits the fleet table among the tests below, one row
+// family each; TestFleetMatrix requires that they cover every row.
+var fleetGroups = map[string]string{
+	"TestFleetFuzz":        "^fleet/plain$",
+	"TestChaosCrashResume": "^crash/",
+	"TestFleetMatrix":      "^(fleet/sharded|shardcrash/)",
+	"TestSupervisionChaos": "^supervise/",
+}
+
+// sweepFleetRows is the topology property check. For each seed one
 // generated fleet is swept uninterrupted as the reference, then through
-// every fleet row: a lane-fanned plain sweep and a sharded one, a
-// journaled sweep killed at sched/mid/last offsets, torn or bit-flipped
-// and resumed, shard crashes losing one, half or all journals (plus a
-// torn or flipped survivor), and live wedges, stragglers and jittered
-// retries healed by supervision. Every row must run once per seed and
-// reproduce the reference, or fail loudly where it declares it must.
-func TestFleetMatrix(t *testing.T) {
-	// Its supervision rows mostly wait out wall-clock stalls; overlap
-	// them with the CPU-bound chaos suite.
+// every fleet row the test's group selects (and the rows they wreck).
+// Every selected row must run once per seed and reproduce the
+// reference, or fail loudly where it declares it must.
+func sweepFleetRows(t *testing.T) {
+	t.Helper()
+	// The supervision rows mostly wait out wall-clock stalls, the crash
+	// rows mostly wait on journal I/O; overlap them with the CPU-bound
+	// chaos suite.
 	t.Parallel()
 	seeds := 2
 	if testing.Short() {
 		seeds = 1
 	}
-	s, err := Run(Options{Seed: 77, N: seeds, Rows: "/"})
+	pattern := fleetGroups[t.Name()]
+	s, err := Run(Options{Seed: 77, N: seeds, Rows: pattern})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Cases != 0 || s.Fleets != seeds {
 		t.Errorf("ran %d cases and %d fleets, want 0 and %d", s.Cases, s.Fleets, seeds)
 	}
+	sel := regexp.MustCompile(pattern)
 	for _, row := range fleetRows {
-		if got := s.Rows[row.name]; got != seeds {
+		if got := s.Rows[row.name]; sel.MatchString(row.name) && got != seeds {
 			t.Errorf("row %s ran %d times, want once per seed (%d)", row.name, got, seeds)
 		}
 	}
@@ -42,6 +53,38 @@ func TestFleetMatrix(t *testing.T) {
 			t.Errorf("fleet %d: %s", f.Fleet, v)
 		}
 	}
+}
+
+// TestFleetFuzz: a lane-fanned, multi-worker manager sweep of the fleet
+// matches the reference host for host, planted ledger included.
+func TestFleetFuzz(t *testing.T) { sweepFleetRows(t) }
+
+// TestChaosCrashResume: a journaled sweep killed at sched/mid/last
+// offsets, torn or bit-flipped, resumes to the reference or fails
+// loudly.
+func TestChaosCrashResume(t *testing.T) { sweepFleetRows(t) }
+
+// TestSupervisionChaos: live wedges, stragglers and jittered retries are
+// healed by supervision, and a wedged journaled sweep resumes.
+func TestSupervisionChaos(t *testing.T) { sweepFleetRows(t) }
+
+// TestFleetMatrix runs the sharded rows (a sharded sweep, and shard
+// crashes losing one, half or all journals plus a torn or flipped
+// survivor) and checks that every row of the fleet table falls in
+// exactly one test's group, so no row goes unchecked.
+func TestFleetMatrix(t *testing.T) {
+	for _, row := range fleetRows {
+		n := 0
+		for _, pattern := range fleetGroups {
+			if regexp.MustCompile(pattern).MatchString(row.name) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("row %s is in %d test groups, want 1", row.name, n)
+		}
+	}
+	sweepFleetRows(t)
 }
 
 // TestFleetBreakerJSONDeterministic: a detector that drops every hidden

@@ -32,7 +32,7 @@ echo "==> chaos suite under -race (fault-injection property tests)"
 matrix '-race' 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
 
 echo "==> fleet topology matrix under -race (plain and sharded sweeps; kill at sched/mid/last, torn tail, bit flip; shard loss; wedge, hedge, jitter)"
-matrix '-race' 'TestFleetMatrix|TestFleetBreakerJSONDeterministic' ./internal/ghostfuzz/
+matrix '-race' 'TestFleetFuzz|TestFleetMatrix|TestSupervisionChaos|TestFleetBreakerJSONDeterministic' ./internal/ghostfuzz/
 
 echo "==> crash-resume unit matrix under -race"
 matrix '-race' 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
