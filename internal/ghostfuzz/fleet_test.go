@@ -10,39 +10,46 @@ import (
 	"ghostbuster/internal/core"
 )
 
-// fleetGroups splits the fleet table among the tests below, one row
-// family each; TestFleetMatrix requires that they cover every row.
-var fleetGroups = map[string]string{
-	"TestFleetFuzz":        "^fleet/plain$",
-	"TestChaosCrashResume": "^crash/",
-	"TestFleetMatrix":      "^(fleet/sharded|shardcrash/)",
-	"TestSupervisionChaos": "^supervise/",
+// fleetFamily is one slice of the fleet table and the fleets its test
+// sweeps it over: CaseSeed(seed, i) for i < seeds, one with -short.
+type fleetFamily struct {
+	rows  string
+	seed  int64
+	seeds int
 }
 
-// sweepFleetRows is the topology property check. For each seed one
-// generated fleet is swept uninterrupted as the reference, then through
-// every fleet row the test's group selects (and the rows they wreck).
-// Every selected row must run once per seed and reproduce the
-// reference, or fail loudly where it declares it must.
-func sweepFleetRows(t *testing.T) {
+// The fleet table's row families, one test each. The crash and
+// supervise families keep the seeds their standalone suites swept.
+var (
+	plainFleet     = fleetFamily{rows: "^fleet/plain$", seed: 77, seeds: 2}
+	crashFleet     = fleetFamily{rows: "^crash/", seed: 77, seeds: 5}
+	shardFleet     = fleetFamily{rows: "^(fleet/sharded|shardcrash/)", seed: 77, seeds: 2}
+	superviseFleet = fleetFamily{rows: "^supervise/", seed: 131, seeds: 3}
+)
+
+// sweep is the topology property check. For each seed one generated
+// fleet is swept uninterrupted as the reference, then through every row
+// of the family (and the rows they wreck). Every row must run once per
+// seed and reproduce the reference, or fail loudly where it declares it
+// must.
+func (fam fleetFamily) sweep(t *testing.T) {
 	t.Helper()
 	// The supervision rows mostly wait out wall-clock stalls, the crash
 	// rows mostly wait on journal I/O; overlap them with the CPU-bound
 	// chaos suite.
 	t.Parallel()
-	seeds := 2
+	seeds := fam.seeds
 	if testing.Short() {
 		seeds = 1
 	}
-	pattern := fleetGroups[t.Name()]
-	s, err := Run(Options{Seed: 77, N: seeds, Rows: pattern})
+	s, err := Run(Options{Seed: fam.seed, N: seeds, Rows: fam.rows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Cases != 0 || s.Fleets != seeds {
 		t.Errorf("ran %d cases and %d fleets, want 0 and %d", s.Cases, s.Fleets, seeds)
 	}
-	sel := regexp.MustCompile(pattern)
+	sel := regexp.MustCompile(fam.rows)
 	for _, row := range fleetRows {
 		if got := s.Rows[row.name]; sel.MatchString(row.name) && got != seeds {
 			t.Errorf("row %s ran %d times, want once per seed (%d)", row.name, got, seeds)
@@ -57,34 +64,34 @@ func sweepFleetRows(t *testing.T) {
 
 // TestFleetFuzz: a lane-fanned, multi-worker manager sweep of the fleet
 // matches the reference host for host, planted ledger included.
-func TestFleetFuzz(t *testing.T) { sweepFleetRows(t) }
+func TestFleetFuzz(t *testing.T) { plainFleet.sweep(t) }
 
 // TestChaosCrashResume: a journaled sweep killed at sched/mid/last
 // offsets, torn or bit-flipped, resumes to the reference or fails
 // loudly.
-func TestChaosCrashResume(t *testing.T) { sweepFleetRows(t) }
+func TestChaosCrashResume(t *testing.T) { crashFleet.sweep(t) }
 
 // TestSupervisionChaos: live wedges, stragglers and jittered retries are
 // healed by supervision, and a wedged journaled sweep resumes.
-func TestSupervisionChaos(t *testing.T) { sweepFleetRows(t) }
+func TestSupervisionChaos(t *testing.T) { superviseFleet.sweep(t) }
 
 // TestFleetMatrix runs the sharded rows (a sharded sweep, and shard
 // crashes losing one, half or all journals plus a torn or flipped
 // survivor) and checks that every row of the fleet table falls in
-// exactly one test's group, so no row goes unchecked.
+// exactly one family, so no row goes unchecked.
 func TestFleetMatrix(t *testing.T) {
 	for _, row := range fleetRows {
 		n := 0
-		for _, pattern := range fleetGroups {
-			if regexp.MustCompile(pattern).MatchString(row.name) {
+		for _, fam := range []fleetFamily{plainFleet, crashFleet, shardFleet, superviseFleet} {
+			if regexp.MustCompile(fam.rows).MatchString(row.name) {
 				n++
 			}
 		}
 		if n != 1 {
-			t.Errorf("row %s is in %d test groups, want 1", row.name, n)
+			t.Errorf("row %s is in %d families, want 1", row.name, n)
 		}
 	}
-	sweepFleetRows(t)
+	shardFleet.sweep(t)
 }
 
 // TestFleetBreakerJSONDeterministic: a detector that drops every hidden
