@@ -102,7 +102,7 @@ func run(args []string) error {
 		}
 		return runOne(e)
 	}
-	fmt.Println("Strider GhostBuster reproduction — full evaluation matrix")
+	fmt.Println(experiments.Banner)
 	for _, e := range experiments.All() {
 		if err := runOne(e); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)

@@ -14,6 +14,9 @@ import (
 	"ghostbuster/internal/workload"
 )
 
+// Banner heads the full evaluation matrix as paperbench prints it.
+const Banner = "Strider GhostBuster reproduction — full evaluation matrix"
+
 // Table is one regenerated table or figure.
 type Table struct {
 	ID     string // e.g. "fig3"

@@ -2,19 +2,37 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ghostbuster/internal/core"
+	"ghostbuster/internal/crashdump"
+	"ghostbuster/internal/ghostware"
+	"ghostbuster/internal/machine"
+	"ghostbuster/internal/vmscan"
+	"ghostbuster/internal/winpe"
 )
 
-// TestEveryExperimentRuns executes the complete paper-reproduction
-// matrix and sanity-checks each table. The per-figure assertions live in
-// the package tests of core/ghostware/winpe/etc.; here the contract is:
-// every experiment completes, produces rows, and contains no mismatch
-// markers.
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// TestEveryExperimentRuns renders the complete paper-reproduction
+// matrix — every experiment in All() order, exactly as `paperbench`
+// prints it — and byte-compares it with testdata/paperbench.golden. The
+// per-figure assertions live in the package tests of
+// core/ghostware/winpe/etc.; here every experiment must complete,
+// produce rows, and contain no mismatch marker before its table counts,
+// so -update cannot approve a broken table. Regenerate only for an
+// intended change: go test -run TestEveryExperimentRuns
+// ./internal/experiments/ -update
 func TestEveryExperimentRuns(t *testing.T) {
+	var out bytes.Buffer
+	fmt.Fprintln(&out, Banner)
+	rendered := 0
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if e.ID == "scantime" && testing.Short() {
 				t.Skip("fleet build is slow; run without -short")
@@ -36,12 +54,117 @@ func TestEveryExperimentRuns(t *testing.T) {
 					}
 				}
 			}
-			var buf bytes.Buffer
-			table.Render(&buf)
-			if !strings.Contains(buf.String(), table.Title) {
-				t.Error("render missing title")
+			if !t.Failed() {
+				table.Render(&out)
+				rendered++
 			}
 		})
+	}
+	if rendered != len(All()) {
+		t.Logf("%d of %d tables rendered; golden not compared", rendered, len(All()))
+		return
+	}
+	checkGolden(t, "paperbench.golden", out.Bytes())
+}
+
+// TestOutsideChecksGolden pins the outside-the-box flows the tables do
+// not exercise, each on a fixed infected machine: the report's content
+// digest (ComputeDigest, so an unsealed report is pinned too) and its
+// virtual Elapsed nanoseconds.
+func TestOutsideChecksGolden(t *testing.T) {
+	infected := func(g ghostware.Ghostware) *machine.Machine {
+		t.Helper()
+		m, err := labMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	dkom := func() *machine.Machine {
+		t.Helper()
+		m := infected(ghostware.NewBerbew())
+		fu := ghostware.NewFU()
+		if err := fu.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.StartProcess("lurker.exe", `C:\lurker.exe`); err != nil {
+			t.Fatal(err)
+		}
+		if err := fu.HideByName(m, "lurker.exe"); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	checks := []struct {
+		name string
+		run  func() (*core.Report, error)
+	}{
+		{"winpe.OutsideFileCheck", func() (*core.Report, error) {
+			return winpe.OutsideFileCheck(infected(ghostware.NewHackerDefender()), core.DiffOptions{})
+		}},
+		{"winpe.OutsideASEPCheck", func() (*core.Report, error) {
+			return winpe.OutsideASEPCheck(infected(ghostware.NewHackerDefender()), core.DiffOptions{})
+		}},
+		{"crashdump.OutsideProcessCheck", func() (*core.Report, error) {
+			return crashdump.OutsideProcessCheck(dkom(), false)
+		}},
+		{"crashdump.OutsideProcessCheck/advanced", func() (*core.Report, error) {
+			return crashdump.OutsideProcessCheck(dkom(), true)
+		}},
+		{"crashdump.OutsideModuleCheck", func() (*core.Report, error) {
+			return crashdump.OutsideModuleCheck(infected(ghostware.NewVanquish()))
+		}},
+		{"vmscan.Check", func() (*core.Report, error) {
+			return vmscan.Check(infected(ghostware.NewHackerDefender()), core.DiffOptions{})
+		}},
+	}
+	var out bytes.Buffer
+	for _, c := range checks {
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !r.Infected() {
+			t.Fatalf("%s: fixture machine reported clean", c.name)
+		}
+		fmt.Fprintf(&out, "%-38s hidden=%-2d %s %d\n", c.name, len(r.Hidden), r.ComputeDigest(), r.Elapsed)
+	}
+	checkGolden(t, "outside.golden", out.Bytes())
+}
+
+// checkGolden byte-compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with -update)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("%s drifted at line %d:\n got: %q\nwant: %q", path, i+1, gl, wl)
+		}
 	}
 }
 

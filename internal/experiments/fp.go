@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"ghostbuster/internal/core"
@@ -77,13 +78,14 @@ func noiseBreakdown(r *core.Report) string {
 	for _, f := range r.Noise {
 		counts[f.Reason]++
 	}
+	if len(counts) == 0 {
+		return "-"
+	}
 	parts := make([]string, 0, len(counts))
 	for reason, n := range counts {
 		parts = append(parts, fmt.Sprintf("%s x%d", reason, n))
 	}
-	if len(parts) == 0 {
-		return "-"
-	}
+	sort.Strings(parts) // map order is random; the table must not be
 	return strings.Join(parts, ", ")
 }
 
