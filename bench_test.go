@@ -190,18 +190,19 @@ func BenchmarkCrossViewFileDiff(b *testing.B) {
 	if err := ghostware.NewVanquish().Install(m); err != nil {
 		b.Fatal(err)
 	}
-	high, err := core.ScanFilesHigh(m, m.SystemCall())
+	tab := core.NewInternTable()
+	high, err := core.ScanFilesHighC(m, m.SystemCall(), tab)
 	if err != nil {
 		b.Fatal(err)
 	}
-	low, err := core.ScanFilesLow(m)
+	low, err := core.ScanFilesLowC(m, m.Clock, 1, tab)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := core.Diff(high, low, core.DiffOptions{})
+		r, err := core.DiffColumnar(high, low, core.DiffOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,10 +26,9 @@ func loadSweepBench(path string) (*sweepBenchResult, error) {
 
 // runBenchGate compares candidate against baseline, failing if any
 // gated metric regresses by more than tol (a fraction, e.g. 0.15), or
-// if a hard floor from the columnar-engine contract is violated:
-// warm incremental diffs must stay allocation-free, and the columnar
-// engine must hold at least a 2x allocation win and any speed win over
-// the retired map engine.
+// if a hard floor is violated: warm incremental diffs must stay
+// allocation-free, shard scaling must stay near-linear, and idle
+// supervision must not move virtual time or digests.
 func runBenchGate(baselinePath, candidatePath string, tol float64) error {
 	base, err := loadSweepBench(baselinePath)
 	if err != nil {
@@ -79,8 +78,6 @@ func runBenchGate(baselinePath, candidatePath string, tol float64) error {
 	ceiling("diff.colAllocsPerEntry", base.Diff.ColAllocsPerEntry, cand.Diff.ColAllocsPerEntry)
 	if cand.Diff.Entries > 0 {
 		ceiling("diff.warmDiffAllocsPerOp", 0.0001, cand.Diff.WarmDiffAllocsPerOp) // base 0.0001: "stay at zero"
-		floor("diff.allocRatio (>= 2x)", 2, cand.Diff.AllocRatio)
-		floor("diff.speedRatio (>= 1x)", 1, cand.Diff.SpeedRatio)
 	}
 	if base.FleetLarge.Hosts > 0 && cand.FleetLarge.Hosts > 0 {
 		ceiling("fleetLarge.virtualPerHostNs",

@@ -1,6 +1,5 @@
-// Diff-engine microbenchmark: the retired map engine (fresh strings
-// into map snapshots, map-probe diff) head-to-head against the columnar
-// engine (interned build, merge-join diff) over a synthetic volume pair.
+// Diff-engine microbenchmark: the columnar engine (interned build,
+// merge-join diff) over a synthetic volume pair, cold and warm.
 // Allocation counts come from runtime.MemStats on a quiesced heap, so
 // they are stable enough to gate on per-entry.
 package main
@@ -18,21 +17,14 @@ import (
 type diffBenchResult struct {
 	Entries int `json:"entries"`
 	Hidden  int `json:"hidden"`
-	// Map engine: build high+low map snapshots and diff by map probes.
-	MapBuildNs int64  `json:"mapBuildNs"`
-	MapDiffNs  int64  `json:"mapDiffNs"`
-	MapAllocs  uint64 `json:"mapAllocs"`
-	MapBytes   uint64 `json:"mapBytes"`
-	// Columnar engine: interned builders and the sorted merge-join.
+	// Cold: interned builders and the sorted merge-join. The build/diff
+	// wall split is informational (never gated).
 	ColBuildNs int64  `json:"colBuildNs"`
 	ColDiffNs  int64  `json:"colDiffNs"`
 	ColAllocs  uint64 `json:"colAllocs"`
 	ColBytes   uint64 `json:"colBytes"`
-	// Scale-invariant derived metrics — these are what benchgate compares.
-	MapAllocsPerEntry float64 `json:"mapAllocsPerEntry"`
+	// Scale-invariant, gated by benchgate: allocations per entry.
 	ColAllocsPerEntry float64 `json:"colAllocsPerEntry"`
-	AllocRatio        float64 `json:"allocRatio"` // map/columnar, build+diff
-	SpeedRatio        float64 `json:"speedRatio"` // map/columnar ns, build+diff
 	// Per-op allocations of a warm incremental diff (report storage
 	// reused, both sides already interned). Pinned to zero.
 	WarmDiffAllocsPerOp float64 `json:"warmDiffAllocsPerOp"`
@@ -40,8 +32,7 @@ type diffBenchResult struct {
 
 // appendBenchRow formats the i-th synthetic file's ID, display, and
 // detail into the three scratch buffers, mirroring how scanners build
-// entry strings byte-wise before interning (or, in the retired map
-// engine, before a fresh string conversion per entry).
+// entry strings byte-wise before interning.
 func appendBenchRow(id, disp, det []byte, i int) (idB, dispB, detB []byte) {
 	id = append(id[:0], `\WINDOWS\SYSTEM32\BENCH-`...)
 	id = strconv.AppendInt(id, int64(i), 10)
@@ -71,49 +62,17 @@ func measured(f func()) (ns int64, allocs, bytes uint64) {
 // the measured work.
 var benchSink any
 
-// runDiffBench compares the two diff engines over a pair of synthetic
-// file snapshots: the low view holds every high entry plus `hidden`
-// extras (the ghostware), so the diff finds exactly `hidden` findings.
+// runDiffBench times the columnar engine over a pair of synthetic file
+// snapshots: the low view holds every high entry plus `hidden` extras
+// (the ghostware), so the diff finds exactly `hidden` findings.
 func runDiffBench(entries, hidden int) (diffBenchResult, error) {
 	res := diffBenchResult{Entries: entries, Hidden: hidden}
 	opts := core.DiffOptions{}
 
-	// --- map engine: fresh string per entry, map-backed snapshots.
-	var mapHigh, mapLow *core.Snapshot
-	buildMap := func(n int, view core.View) *core.Snapshot {
-		s := &core.Snapshot{Kind: core.KindFiles, View: view, Entries: make(map[string]core.Entry, n)}
-		var idB, dispB, detB []byte
-		for i := 0; i < n; i++ {
-			idB, dispB, detB = appendBenchRow(idB, dispB, detB, i)
-			id := string(idB)
-			s.Entries[id] = core.Entry{ID: id, Display: string(dispB), Detail: string(detB)}
-		}
-		return s
-	}
-	ns, allocs, bytes := measured(func() {
-		mapHigh = buildMap(entries, core.ViewWin32Inside)
-		mapLow = buildMap(entries+hidden, core.ViewRawMFT)
-	})
-	res.MapBuildNs, res.MapAllocs, res.MapBytes = ns, allocs, bytes
-	var mapReport *core.Report
-	ns, allocs, bytes = measured(func() {
-		var err error
-		if mapReport, err = core.Diff(mapHigh, mapLow, opts); err != nil {
-			panic(err)
-		}
-	})
-	res.MapDiffNs = ns
-	res.MapAllocs += allocs
-	res.MapBytes += bytes
-	benchSink = mapReport
-	if len(mapReport.Hidden) != hidden {
-		return res, fmt.Errorf("map diff found %d hidden, want %d", len(mapReport.Hidden), hidden)
-	}
-
-	// --- columnar engine: one shared intern table; the low build's
-	// common IDs are warm intern hits, exactly as in a real sweep where
-	// both views describe the same volume. The table is pre-sized like
-	// the map engine's pre-sized maps (~3 distinct strings per entry).
+	// --- cold: one shared intern table; the low build's common IDs are
+	// warm intern hits, exactly as in a real sweep where both views
+	// describe the same volume. The table is pre-sized (~3 distinct
+	// strings per entry).
 	tab := core.NewInternTableHint(3 * entries)
 	var colHigh, colLow *core.ColumnarSnapshot
 	buildCol := func(n int, view core.View) *core.ColumnarSnapshot {
@@ -125,7 +84,7 @@ func runDiffBench(entries, hidden int) (diffBenchResult, error) {
 		}
 		return b.Build()
 	}
-	ns, allocs, bytes = measured(func() {
+	ns, allocs, bytes := measured(func() {
 		colHigh = buildCol(entries, core.ViewWin32Inside)
 		colLow = buildCol(entries+hidden, core.ViewRawMFT)
 	})
@@ -162,15 +121,6 @@ func runDiffBench(entries, hidden int) (diffBenchResult, error) {
 	benchSink = warm
 	res.WarmDiffAllocsPerOp = float64(allocs) / warmOps
 
-	n := float64(entries)
-	res.MapAllocsPerEntry = float64(res.MapAllocs) / n
-	res.ColAllocsPerEntry = float64(res.ColAllocs) / n
-	if res.ColAllocs > 0 {
-		res.AllocRatio = float64(res.MapAllocs) / float64(res.ColAllocs)
-	}
-	colNs := res.ColBuildNs + res.ColDiffNs
-	if colNs > 0 {
-		res.SpeedRatio = float64(res.MapBuildNs+res.MapDiffNs) / float64(colNs)
-	}
+	res.ColAllocsPerEntry = float64(res.ColAllocs) / float64(entries)
 	return res, nil
 }

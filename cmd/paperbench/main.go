@@ -8,8 +8,10 @@
 //	paperbench -list      # list experiment ids
 //	paperbench -exp fig3  # run one experiment (figN or a named exp)
 //	paperbench -sweepbench -out BENCH_sweep.json
-//	                      # time cold-vs-warm inside sweeps and a fleet
-//	                      # sweep; write machine-readable JSON
+//	                      # measure the deterministic sweep, diff, fleet
+//	                      # and shard costs; write machine-readable JSON
+//	paperbench -benchgate -candidate fresh.json
+//	                      # fail if fresh.json regresses on the baseline
 package main
 
 import (
@@ -34,12 +36,11 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	exp := fs.String("exp", "", "run a single experiment by id (e.g. fig3, scantime, linux)")
 	fig := fs.Int("fig", 0, "run a single figure by number (2-6)")
-	sweepbench := fs.Bool("sweepbench", false, "benchmark cold-vs-warm sweeps, the diff engines, and the fleet scheduler, write JSON")
+	sweepbench := fs.Bool("sweepbench", false, "measure the deterministic sweep, diff, fleet and shard costs benchgate reads, write JSON")
 	out := fs.String("out", "BENCH_sweep.json", "output path for -sweepbench")
-	reps := fs.Int("reps", 5, "repetitions per -sweepbench timing")
-	hosts := fs.Int("hosts", 100, "fleet size for the -sweepbench fleet timing")
+	reps := fs.Int("reps", 5, "repetitions per -sweepbench single-host sweep")
 	diffEntries := fs.Int("diffEntries", 1000000, "snapshot entry count for the -sweepbench diff microbench")
-	fleetLarge := fs.Int("fleetLarge", 1000, "host count for the -sweepbench large-fleet timing")
+	fleetLarge := fs.Int("fleetLarge", 1000, "host count for the -sweepbench warm fleet sweep")
 	shardHosts := fs.Int("shardHosts", 1000, "host count for the -sweepbench 1→64 shard-scaling curve")
 	megaHosts := fs.Int("megaHosts", 1000000, "host count for the -sweepbench bounded-memory mega sweep")
 	benchgate := fs.Bool("benchgate", false, "compare -candidate against -baseline, fail on >tolerance regression")
@@ -83,7 +84,7 @@ func run(args []string) error {
 		return runBenchGate(*baseline, *candidate, *tolerance)
 	}
 	if *sweepbench {
-		return runSweepBench(*out, *reps, *hosts, *diffEntries, *fleetLarge, *shardHosts, *megaHosts)
+		return runSweepBench(*out, *reps, *diffEntries, *fleetLarge, *shardHosts, *megaHosts)
 	}
 	if *list {
 		for _, e := range experiments.All() {

@@ -18,9 +18,8 @@ import (
 
 // shardScaleResult is one shard-count entry of the scaling curve.
 type shardScaleResult struct {
-	Shards int   `json:"shards"`
-	Hosts  int   `json:"hosts"`
-	WallNs int64 `json:"wallNs"`
+	Shards int `json:"shards"`
+	Hosts  int `json:"hosts"`
 	// MakespanNs is the sweep's virtual completion time: shards sweep in
 	// parallel, so it is the max per-shard virtual cost — deterministic,
 	// and the quantity the near-linear-scaling gate tracks.
@@ -36,7 +35,6 @@ type megaSweepResult struct {
 	Shards           int   `json:"shards"`
 	ShardParallelism int   `json:"shardParallelism"`
 	ShardWorkers     int   `json:"shardWorkers"`
-	WallNs           int64 `json:"wallNs"`
 	VirtualNs        int64 `json:"virtualNs"`
 	MakespanNs       int64 `json:"makespanNs"`
 	// Speedup is VirtualNs/MakespanNs: how evenly the ring spread the
@@ -57,15 +55,11 @@ type megaSweepResult struct {
 // armed (watchdog heartbeats, hedging, jittered backoff) but never
 // firing. Supervision is wall-clock-only machinery, so the virtual
 // makespan and merged digest must be identical; the gated metrics are
-// that equality plus the supervised run's allocation cost.
+// that equality plus the supervised run's allocation cost. (Its wall
+// overhead is bench/'s supervise.idle_overhead_ratio.)
 type supervisionBenchResult struct {
 	Hosts  int `json:"hosts"`
 	Shards int `json:"shards"`
-	// Wall times are informational (noisy on shared runners); the
-	// overhead ratio is printed, never gated.
-	BareWallNs       int64   `json:"bareWallNs"`
-	SupervisedWallNs int64   `json:"supervisedWallNs"`
-	WallOverhead     float64 `json:"wallOverhead"`
 	// VirtualDeltaNs is supervised makespan minus bare makespan; idle
 	// supervision must hold it at exactly zero.
 	MakespanNs     int64   `json:"makespanNs"`
@@ -86,31 +80,29 @@ func runSupervisionBench(hosts int) (supervisionBenchResult, error) {
 		ScanHost: fleetshard.SyntheticScan(1),
 	}
 	src := fleetshard.SyntheticSource{N: hosts}
-	run := func(cfg fleetshard.Config) (*fleetshard.Report, int64, uint64, error) {
+	run := func(cfg fleetshard.Config) (*fleetshard.Report, uint64, error) {
 		coord, err := fleetshard.New(cfg, src)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		start := time.Now()
 		rep, err := coord.Sweep()
-		wall := int64(time.Since(start))
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		if rep.Scanned != hosts {
-			return nil, 0, 0, fmt.Errorf("supervision bench scanned %d of %d hosts", rep.Scanned, hosts)
+			return nil, 0, fmt.Errorf("supervision bench scanned %d of %d hosts", rep.Scanned, hosts)
 		}
 		if err := rep.Verify(); err != nil {
-			return nil, 0, 0, fmt.Errorf("supervision bench: %w", err)
+			return nil, 0, fmt.Errorf("supervision bench: %w", err)
 		}
-		return rep, wall, after.Mallocs - before.Mallocs, nil
+		return rep, after.Mallocs - before.Mallocs, nil
 	}
 
-	bareRep, bareWall, _, err := run(bare)
+	bareRep, _, err := run(bare)
 	if err != nil {
 		return res, err
 	}
@@ -118,14 +110,9 @@ func runSupervisionBench(hosts int) (supervisionBenchResult, error) {
 	sup.Watchdog = supervise.Policy{Deadline: 30 * time.Second, Misses: 3}
 	sup.Hedge = &fleet.HedgePolicy{Floor: time.Hour} // armed, never triggers
 	sup.BackoffJitterSeed = 1
-	supRep, supWall, supAllocs, err := run(sup)
+	supRep, supAllocs, err := run(sup)
 	if err != nil {
 		return res, err
-	}
-
-	res.BareWallNs, res.SupervisedWallNs = bareWall, supWall
-	if bareWall > 0 {
-		res.WallOverhead = float64(supWall) / float64(bareWall)
 	}
 	res.MakespanNs = supRep.MakespanNs
 	res.VirtualDeltaNs = supRep.MakespanNs - bareRep.MakespanNs
@@ -155,12 +142,10 @@ func runShardScaling(hosts int) ([]shardScaleResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		rep, err := coord.Sweep()
 		if err != nil {
 			return nil, err
 		}
-		wall := int64(time.Since(start))
 		if rep.Scanned != hosts {
 			return nil, fmt.Errorf("shard scaling: %d shards scanned %d of %d hosts", shards, rep.Scanned, hosts)
 		}
@@ -168,7 +153,7 @@ func runShardScaling(hosts int) ([]shardScaleResult, error) {
 			return nil, fmt.Errorf("shard scaling: %d shards: %w", shards, err)
 		}
 		r := shardScaleResult{
-			Shards: shards, Hosts: hosts, WallNs: wall,
+			Shards: shards, Hosts: hosts,
 			MakespanNs: rep.MakespanNs, PeakResident: rep.PeakResident,
 		}
 		if base == 0 {
@@ -202,9 +187,7 @@ func runMegaSweep(hosts int) (megaSweepResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 	rep, err := coord.Sweep()
-	res.WallNs = int64(time.Since(start))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return res, err

@@ -1,6 +1,8 @@
-// Sweep benchmark mode: machine-readable wall-clock timings for the
-// incremental-scanning layer (cold vs warm inside sweeps) and the
-// bounded fleet scheduler, written as JSON for tooling to track.
+// Sweep benchmark mode: the deterministic costs benchgate reads —
+// virtual time of cold vs warm and laned inside sweeps, per-entry diff
+// allocations, fleet virtual cost, shard scaling — written as JSON.
+// Wall-clock timings live in bench/, which measures the real detector
+// end to end.
 package main
 
 import (
@@ -8,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"ghostbuster/internal/core"
@@ -19,24 +20,15 @@ import (
 
 // sweepBenchResult is the schema of BENCH_sweep.json.
 type sweepBenchResult struct {
-	// Single-host inside sweep, wall-clock, averaged over Reps.
-	Reps          int     `json:"reps"`
-	MFTRecords    int     `json:"mftRecords"`
-	ColdSweepNs   int64   `json:"coldSweepNs"`
-	WarmSweepNs   int64   `json:"warmSweepNs"`
-	WarmSpeedup   float64 `json:"warmSpeedup"`
-	ColdVirtualNs int64   `json:"coldVirtualNs"`
-	WarmVirtualNs int64   `json:"warmVirtualNs"`
-	// Fleet warm sweeps through the bounded scheduler.
-	FleetHosts       int   `json:"fleetHosts"`
-	FleetParallelism int   `json:"fleetParallelism"`
-	FleetSweepNs     int64 `json:"fleetSweepNs"`
-	// Parallel intra-host sweeps: one cold sweep timed at each lane
-	// count, with the wall-clock speedup over the 1-lane run. On a
-	// single-core host the speedups hover around 1x; the lanes only pay
-	// off with real hardware parallelism.
+	// Single-host inside sweep, virtual time averaged over Reps.
+	Reps          int   `json:"reps"`
+	MFTRecords    int   `json:"mftRecords"`
+	ColdVirtualNs int64 `json:"coldVirtualNs"`
+	WarmVirtualNs int64 `json:"warmVirtualNs"`
+	// Parallel intra-host sweeps: the cold sweep's virtual time at each
+	// lane count.
 	Parallel []parallelSweepResult `json:"parallel"`
-	// Diff microbench: retired map engine vs columnar merge-join.
+	// Diff microbench: the columnar merge-join, cold and warm.
 	Diff diffBenchResult `json:"diff"`
 	// Large fleet warm sweep through the bounded scheduler.
 	FleetLarge fleetBenchResult `json:"fleetLarge"`
@@ -52,21 +44,18 @@ type sweepBenchResult struct {
 	Supervision *supervisionBenchResult `json:"supervision,omitempty"`
 }
 
-// fleetBenchResult times one warm fleet sweep; VirtualNs sums per-host
+// fleetBenchResult is one warm fleet sweep; VirtualNs sums per-host
 // virtual scan cost (Elapsed + RetryNs), which is deterministic for a
 // given fleet build and is what benchgate compares per host.
 type fleetBenchResult struct {
 	Hosts     int   `json:"hosts"`
-	SweepNs   int64 `json:"sweepNs"`
 	VirtualNs int64 `json:"virtualNs"`
 }
 
 // parallelSweepResult is one lane-count entry of the parallel section.
 type parallelSweepResult struct {
-	Lanes       int     `json:"lanes"`
-	ColdSweepNs int64   `json:"coldSweepNs"`
-	VirtualNs   int64   `json:"coldVirtualNs"`
-	Speedup     float64 `json:"speedup"` // vs the 1-lane cold sweep
+	Lanes     int   `json:"lanes"`
+	VirtualNs int64 `json:"coldVirtualNs"`
 }
 
 // buildFleet assembles a fleet of small deterministic hosts and primes
@@ -92,13 +81,11 @@ func buildFleet(hosts int) (*fleet.Manager, error) {
 	return mgr, nil
 }
 
-// timeFleetSweep runs one warm sweep and reports wall time plus the
-// summed per-host virtual cost.
-func timeFleetSweep(mgr *fleet.Manager, hosts int) (fleetBenchResult, error) {
+// fleetSweep runs one warm sweep and reports the summed per-host
+// virtual cost.
+func fleetSweep(mgr *fleet.Manager, hosts int) (fleetBenchResult, error) {
 	res := fleetBenchResult{Hosts: hosts}
-	start := time.Now()
 	sum, err := mgr.Run(context.Background(), fleet.Plan{})
-	res.SweepNs = int64(time.Since(start))
 	if err != nil {
 		return res, err
 	}
@@ -109,9 +96,9 @@ func timeFleetSweep(mgr *fleet.Manager, hosts int) (fleetBenchResult, error) {
 	return res, nil
 }
 
-// runSweepBench measures cold-vs-warm single-host sweeps, the diff
-// microbench, and fleet sweeps, then writes the JSON report to out.
-func runSweepBench(out string, reps, hosts, diffEntries, largeHosts, shardHosts, megaHosts int) error {
+// runSweepBench measures cold-vs-warm and laned single-host sweeps, the
+// diff microbench, and fleet sweeps, then writes the JSON report to out.
+func runSweepBench(out string, reps, diffEntries, largeHosts, shardHosts, megaHosts int) error {
 	p := workload.SmallProfile()
 	p.Churn = nil
 	p.MFTHeadroom = 32768 // size the MFT like a modest real disk
@@ -126,49 +113,30 @@ func runSweepBench(out string, reps, hosts, diffEntries, largeHosts, shardHosts,
 	}
 
 	res := sweepBenchResult{Reps: reps, MFTRecords: int(m.Disk.Geometry().MFTRecords)}
-	sweep := func(cold bool) (wall, virtual int64, err error) {
+	sweep := func(cold bool) (virtual int64, err error) {
 		for i := 0; i < reps; i++ {
 			if cold {
 				d.Cache.Invalidate()
 			}
-			vStart := m.Clock.Now()
-			wStart := time.Now()
+			start := m.Clock.Now()
 			if _, err := d.ScanAll(); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
-			wall += int64(time.Since(wStart))
-			virtual += int64(m.Clock.Now() - vStart)
+			virtual += int64(m.Clock.Now() - start)
 		}
-		return wall / int64(reps), virtual / int64(reps), nil
+		return virtual / int64(reps), nil
 	}
-	if res.ColdSweepNs, res.ColdVirtualNs, err = sweep(true); err != nil {
+	if res.ColdVirtualNs, err = sweep(true); err != nil {
 		return err
 	}
-	if res.WarmSweepNs, res.WarmVirtualNs, err = sweep(false); err != nil {
+	if res.WarmVirtualNs, err = sweep(false); err != nil {
 		return err
 	}
-	if res.WarmSweepNs > 0 {
-		res.WarmSpeedup = float64(res.ColdSweepNs) / float64(res.WarmSweepNs)
-	}
-
 	for _, lanes := range []int{1, 2, 4} {
 		d.Parallelism = lanes
-		var wall, virtual int64
-		for i := 0; i < reps; i++ {
-			d.Cache.Invalidate()
-			vStart := m.Clock.Now()
-			wStart := time.Now()
-			if _, err := d.ScanAll(); err != nil {
-				return err
-			}
-			wall += int64(time.Since(wStart))
-			virtual += int64(m.Clock.Now() - vStart)
-		}
-		pr := parallelSweepResult{Lanes: lanes, ColdSweepNs: wall / int64(reps), VirtualNs: virtual / int64(reps)}
-		if base := res.Parallel; len(base) > 0 && pr.ColdSweepNs > 0 {
-			pr.Speedup = float64(base[0].ColdSweepNs) / float64(pr.ColdSweepNs)
-		} else {
-			pr.Speedup = 1
+		pr := parallelSweepResult{Lanes: lanes}
+		if pr.VirtualNs, err = sweep(true); err != nil {
+			return err
 		}
 		res.Parallel = append(res.Parallel, pr)
 	}
@@ -177,24 +145,11 @@ func runSweepBench(out string, reps, hosts, diffEntries, largeHosts, shardHosts,
 	if res.Diff, err = runDiffBench(diffEntries, diffEntries/10000+8); err != nil {
 		return err
 	}
-
-	mgr, err := buildFleet(hosts)
-	if err != nil {
-		return err
-	}
-	res.FleetHosts = hosts
-	res.FleetParallelism = runtime.GOMAXPROCS(0)
-	fr, err := timeFleetSweep(mgr, hosts)
-	if err != nil {
-		return err
-	}
-	res.FleetSweepNs = fr.SweepNs
-
 	largeMgr, err := buildFleet(largeHosts)
 	if err != nil {
 		return err
 	}
-	if res.FleetLarge, err = timeFleetSweep(largeMgr, largeHosts); err != nil {
+	if res.FleetLarge, err = fleetSweep(largeMgr, largeHosts); err != nil {
 		return err
 	}
 
@@ -218,31 +173,27 @@ func runSweepBench(out string, reps, hosts, diffEntries, largeHosts, shardHosts,
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep bench: cold %v, warm %v (%.1fx), fleet(%d hosts) %v -> %s\n",
-		time.Duration(res.ColdSweepNs), time.Duration(res.WarmSweepNs), res.WarmSpeedup,
-		hosts, time.Duration(res.FleetSweepNs), out)
+	fmt.Printf("sweep bench: cold %v, warm %v virtual -> %s\n",
+		time.Duration(res.ColdVirtualNs), time.Duration(res.WarmVirtualNs), out)
 	for _, pr := range res.Parallel {
-		fmt.Printf("  parallel lanes=%d: cold %v (%.2fx)\n", pr.Lanes, time.Duration(pr.ColdSweepNs), pr.Speedup)
+		fmt.Printf("  parallel lanes=%d: cold %v virtual\n", pr.Lanes, time.Duration(pr.VirtualNs))
 	}
-	fmt.Printf("  diff %d entries: map %v / %d allocs, columnar %v / %d allocs (%.1fx fewer, %.1fx faster), warm %.2f allocs/op\n",
-		res.Diff.Entries,
-		time.Duration(res.Diff.MapBuildNs+res.Diff.MapDiffNs), res.Diff.MapAllocs,
-		time.Duration(res.Diff.ColBuildNs+res.Diff.ColDiffNs), res.Diff.ColAllocs,
-		res.Diff.AllocRatio, res.Diff.SpeedRatio, res.Diff.WarmDiffAllocsPerOp)
-	fmt.Printf("  fleet %d hosts: %v wall, %v virtual/host\n",
-		res.FleetLarge.Hosts, time.Duration(res.FleetLarge.SweepNs),
-		time.Duration(res.FleetLarge.VirtualNs/int64(max(res.FleetLarge.Hosts, 1))))
+	fmt.Printf("  diff %d entries: build %v, diff %v, %.2f allocs/entry, warm %.2f allocs/op\n",
+		res.Diff.Entries, time.Duration(res.Diff.ColBuildNs), time.Duration(res.Diff.ColDiffNs),
+		res.Diff.ColAllocsPerEntry, res.Diff.WarmDiffAllocsPerOp)
+	fmt.Printf("  fleet %d hosts: %v virtual/host\n",
+		res.FleetLarge.Hosts, time.Duration(res.FleetLarge.VirtualNs/int64(max(res.FleetLarge.Hosts, 1))))
 	for _, sr := range res.ShardScaling {
 		fmt.Printf("  shards=%-3d makespan %12v  speedup %6.2fx  peak resident %d\n",
 			sr.Shards, time.Duration(sr.MakespanNs), sr.Speedup, sr.PeakResident)
 	}
 	mg := res.MegaSweep
-	fmt.Printf("  mega %d hosts / %d shards: %v wall, makespan %v (%.1fx over serial), %d infected, peak resident %d (bound %d), %.1f allocs/host\n",
-		mg.Hosts, mg.Shards, time.Duration(mg.WallNs), time.Duration(mg.MakespanNs),
+	fmt.Printf("  mega %d hosts / %d shards: makespan %v (%.1fx over serial), %d infected, peak resident %d (bound %d), %.1f allocs/host\n",
+		mg.Hosts, mg.Shards, time.Duration(mg.MakespanNs),
 		mg.Speedup, mg.Infected, mg.PeakResident, mg.ResidentBound, mg.AllocsPerHost)
 	if s := res.Supervision; s != nil {
-		fmt.Printf("  supervision idle (%d hosts / %d shards): wall %.2fx, virtual delta %dns, digest match %v, %.1f allocs/host\n",
-			s.Hosts, s.Shards, s.WallOverhead, s.VirtualDeltaNs, s.DigestMatch, s.AllocsPerHost)
+		fmt.Printf("  supervision idle (%d hosts / %d shards): virtual delta %dns, digest match %v, %.1f allocs/host\n",
+			s.Hosts, s.Shards, s.VirtualDeltaNs, s.DigestMatch, s.AllocsPerHost)
 	}
 	return nil
 }

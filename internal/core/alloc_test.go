@@ -30,19 +30,19 @@ func TestFileIDAllocs(t *testing.T) {
 	}
 }
 
+// TestProcIDAllocs pins the process/module identity shaping: the
+// "PID <n>: <UPPER>" ID is appended into a reused scratch buffer, so a
+// warm scan shapes every row without allocating.
 func TestProcIDAllocs(t *testing.T) {
-	if procID(4321, "lsass.exe") != "PID 4321: LSASS.EXE" {
-		t.Fatalf("procID = %q", procID(4321, "lsass.exe"))
+	buf := appendPidUpperID(nil, 4321, "lsass.exe")
+	if string(buf) != "PID 4321: LSASS.EXE" {
+		t.Fatalf("process ID = %q", buf)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		_ = procID(4321, "lsass.exe")
-	}); got > 2 {
-		t.Errorf("procID allocs = %v, want <= 2 (scratch buffer + string)", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		_ = modID(4321, `C:\WINDOWS\system32\ntdll.dll`)
-	}); got > 2 {
-		t.Errorf("modID allocs = %v, want <= 2", got)
+		buf = appendPidUpperID(buf, 4321, "lsass.exe")
+		buf = appendPidUpperID(buf, 4321, `C:\WINDOWS\system32\ntdll.dll`)
+	}); got != 0 {
+		t.Errorf("warm process/module ID allocs = %v, want 0", got)
 	}
 }
 
@@ -50,14 +50,14 @@ func TestProcIDAllocs(t *testing.T) {
 // the every-sweep clean case. The loop itself must not allocate; the
 // budget covers only the Report and its bookkeeping.
 func TestDiffInnerLoopAllocs(t *testing.T) {
-	snap := newSnapshot(KindFiles, ViewWin32Inside)
-	snap.grow(512)
+	b := NewColumnarBuilder(NewInternTable(), KindFiles, ViewWin32Inside, 512)
 	for i := 0; i < 512; i++ {
-		path := `C:\FILES\FILE` + string(rune('A'+i%26)) + `.DAT`
-		snap.add(Entry{ID: fileID(path), Display: path, Detail: "1 bytes"})
+		path := `C:\FILES\FILE` + itoa(i) + `.DAT`
+		b.Add(fileID(path), path, "1 bytes")
 	}
+	snap := b.Build()
 	if got := testing.AllocsPerRun(100, func() {
-		r, err := Diff(snap, snap, DiffOptions{})
+		r, err := DiffColumnar(snap, snap, DiffOptions{})
 		if err != nil || r.Infected() {
 			t.Fatal("diff of identical snapshots must be clean")
 		}

@@ -118,17 +118,9 @@ func hitColumnar(cached *ColumnarSnapshot, clock *vtime.Clock, elapsed time.Dura
 	return &snap
 }
 
-// ScanFilesLow is the cached variant of core.ScanFilesLow: it returns
-// the memoized raw-MFT snapshot when the volume generation is unchanged,
-// charging only the verify pass.
-func (c *ScanCache) ScanFilesLow() (*Snapshot, error) {
-	snap, err := c.scanFilesLowOn(c.m.Clock, 1)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Snapshot(), nil
-}
-
+// scanFilesLowOn is the cached low-level file scan: it returns the
+// memoized raw-MFT snapshot when the volume generation is unchanged,
+// charging clk only the verify pass.
 func (c *ScanCache) scanFilesLowOn(clk *vtime.Clock, workers int) (*ColumnarSnapshot, error) {
 	c.filesMu.Lock()
 	defer c.filesMu.Unlock()
@@ -142,7 +134,7 @@ func (c *ScanCache) scanFilesLowOn(clk *vtime.Clock, workers int) (*ColumnarSnap
 	}
 	c.misses.Add(1)
 	epoch := c.faultEpoch()
-	snap, err := scanFilesLowC(c.m, clk, workers, c.intern)
+	snap, err := ScanFilesLowC(c.m, clk, workers, c.intern)
 	if err != nil {
 		return nil, err
 	}
@@ -167,16 +159,8 @@ func (c *ScanCache) faultEpoch() uint64 {
 	return 0
 }
 
-// ScanASEPLow is the cached variant of core.ScanASEPLow, keyed on the
+// scanASEPLowOn is the cached low-level ASEP scan, keyed on the
 // Registry mount table and every mounted hive's generation.
-func (c *ScanCache) ScanASEPLow() (*Snapshot, error) {
-	snap, err := c.scanASEPLowOn(c.m.Clock)
-	if err != nil {
-		return nil, err
-	}
-	return snap.Snapshot(), nil
-}
-
 func (c *ScanCache) scanASEPLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 	c.asepsMu.Lock()
 	defer c.asepsMu.Unlock()
@@ -189,7 +173,7 @@ func (c *ScanCache) scanASEPLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 	}
 	c.misses.Add(1)
 	epoch := c.faultEpoch()
-	snap, err := scanASEPLowC(c.m, clk, c.intern)
+	snap, err := ScanASEPLowC(c.m, clk, c.intern)
 	if err != nil {
 		return nil, err
 	}

@@ -9,14 +9,25 @@ import (
 	"ghostbuster/internal/ntfs"
 )
 
+// cachedFilesLow and cachedASEPLow run the cache's truth scans on the
+// machine clock and return the map form, which the assertions below
+// index by ID.
+func cachedFilesLow(c *ScanCache) (*Snapshot, error) {
+	return mapForm(c.scanFilesLowOn(c.m.Clock, 1))
+}
+
+func cachedASEPLow(c *ScanCache) (*Snapshot, error) {
+	return mapForm(c.scanASEPLowOn(c.m.Clock))
+}
+
 func TestScanCacheFilesHitOnUnchangedDisk(t *testing.T) {
 	m := mustMachine(t)
 	c := NewScanCache(m)
-	cold, err := c.ScanFilesLow()
+	cold, err := cachedFilesLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := c.ScanFilesLow()
+	warm, err := cachedFilesLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +57,7 @@ func TestScanCacheVolumeMutationsInvalidate(t *testing.T) {
 
 	scan := func() *Snapshot {
 		t.Helper()
-		s, err := c.ScanFilesLow()
+		s, err := cachedFilesLow(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +113,7 @@ func TestScanCacheDirectDeviceWriteInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewScanCache(m)
-	s, err := c.ScanFilesLow()
+	s, err := cachedFilesLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestScanCacheDirectDeviceWriteInvalidates(t *testing.T) {
 	if err := m.WriteDeviceBytes(off, make([]byte, ntfs.RecordSize)); err != nil {
 		t.Fatal(err)
 	}
-	s, err = c.ScanFilesLow()
+	s, err = cachedFilesLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +143,11 @@ func TestScanCacheDirectDeviceWriteInvalidates(t *testing.T) {
 func TestScanCacheHiveCommitInvalidates(t *testing.T) {
 	m := mustMachine(t)
 	c := NewScanCache(m)
-	s1, err := c.ScanASEPLow()
+	s1, err := cachedASEPLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -146,7 +157,7 @@ func TestScanCacheHiveCommitInvalidates(t *testing.T) {
 		"Ghost", `C:\ghost.exe`); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.ScanASEPLow()
+	s2, err := cachedASEPLow(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +181,17 @@ func TestScanCacheHiveCommitInvalidates(t *testing.T) {
 func TestScanCacheMountChangeInvalidates(t *testing.T) {
 	m := mustMachine(t)
 	c := NewScanCache(m)
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
 	// Swapping a hive in or out must invalidate even though no mounted
 	// hive committed anything.
 	m.Reg.Mount(`HKU\S-1-5-21`, hive.New("ntuser-extra"))
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
 	m.Reg.Unmount(`HKU\S-1-5-21`)
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 3 || st.Hits != 0 {

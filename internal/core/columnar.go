@@ -12,8 +12,10 @@ import (
 // strings) sorted by symbol, so the cross-view diff is a sorted
 // merge-join over two symbol columns instead of two map probes per
 // entry, and a warm incremental diff of an unchanged volume allocates
-// nothing. The map-backed Snapshot survives as a thin adapter for
-// outside-the-box callers and serialization; see DESIGN.md §14.
+// nothing. It is the only diff engine: every outside-the-box check
+// builds both of its views over one table too. The map-backed Snapshot
+// survives only as the adapter form for the bench/ probes; see
+// DESIGN.md §14.
 
 // Sym is an interned-string symbol: an index into its InternTable.
 // Two strings interned in the same table are equal iff their symbols
@@ -89,14 +91,6 @@ func (t *InternTable) InternStrBytes(b []byte) string {
 	return t.Str(t.InternBytes(b))
 }
 
-// Lookup returns the symbol for s if it was ever interned.
-func (t *InternTable) Lookup(s string) (Sym, bool) {
-	t.mu.Lock()
-	sym, ok := t.syms[s]
-	t.mu.Unlock()
-	return sym, ok
-}
-
 // Str resolves a symbol to its string.
 func (t *InternTable) Str(sym Sym) string {
 	t.mu.Lock()
@@ -151,28 +145,8 @@ func (c *ColumnarSnapshot) Len() int { return len(c.ids) }
 // Table returns the interning table the ID column indexes.
 func (c *ColumnarSnapshot) Table() *InternTable { return c.table }
 
-// EntryAt materializes entry i (in symbol order).
-func (c *ColumnarSnapshot) EntryAt(i int) Entry {
-	return Entry{ID: c.table.Str(c.ids[i]), Display: c.displays[i], Detail: c.details[i]}
-}
-
-// Lookup finds an entry by its canonical ID.
-func (c *ColumnarSnapshot) Lookup(id string) (Entry, bool) {
-	sym, ok := c.table.Lookup(id)
-	if !ok {
-		return Entry{}, false
-	}
-	i, ok := slices.BinarySearch(c.ids, sym)
-	if !ok {
-		return Entry{}, false
-	}
-	return c.EntryAt(i), true
-}
-
-// Snapshot materializes the map-backed adapter form. External consumers
-// (outside-the-box tools, serialization, tests) see exactly the
-// Snapshot the map engine used to build; the detector hot path never
-// calls this.
+// Snapshot materializes the map-backed adapter form for the map-form
+// scanner adapters (bench/layers.go); no detection path calls this.
 func (c *ColumnarSnapshot) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Kind: c.Kind, View: c.View, Taken: c.Taken, Elapsed: c.Elapsed, Skipped: c.Skipped,
@@ -186,8 +160,8 @@ func (c *ColumnarSnapshot) Snapshot() *Snapshot {
 }
 
 // SnapshotColumnar converts a map-backed Snapshot into columnar form
-// over the given table. Used by compatibility paths and the
-// differential tests that pit the two diff engines against each other.
+// over the given table: the way back from the map-form adapters, which
+// bench/layers.go uses to time the columnar build.
 func SnapshotColumnar(s *Snapshot, t *InternTable) *ColumnarSnapshot {
 	b := NewColumnarBuilder(t, s.Kind, s.View, len(s.Entries))
 	for _, e := range s.Entries {
@@ -201,8 +175,8 @@ func SnapshotColumnar(s *Snapshot, t *InternTable) *ColumnarSnapshot {
 }
 
 // ColumnarBuilder accumulates rows in scan order and sorts them into a
-// ColumnarSnapshot. Duplicate IDs keep the last-added row, matching the
-// map engine's overwrite semantics.
+// ColumnarSnapshot. Duplicate IDs keep the last-added row, as a keyed
+// set overwritten in scan order would.
 type ColumnarBuilder struct {
 	table    *InternTable
 	kind     ResourceKind
@@ -224,9 +198,6 @@ func NewColumnarBuilder(t *InternTable, kind ResourceKind, view View, hint int) 
 		details:  make([]string, 0, hint),
 	}
 }
-
-// Table returns the builder's interning table.
-func (b *ColumnarBuilder) Table() *InternTable { return b.table }
 
 // Add appends one row, interning the ID.
 func (b *ColumnarBuilder) Add(id, display, detail string) {

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestInternTableBasics(t *testing.T) {
@@ -26,12 +26,6 @@ func TestInternTableBasics(t *testing.T) {
 	}
 	if got := tab.InternStrBytes([]byte("beta")); got != "beta" {
 		t.Fatalf("InternStrBytes = %q", got)
-	}
-	if sym, ok := tab.Lookup("beta"); !ok || sym != b {
-		t.Fatal("Lookup must find interned strings")
-	}
-	if _, ok := tab.Lookup("gamma"); ok {
-		t.Fatal("Lookup must miss absent strings")
 	}
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tab.Len())
@@ -59,8 +53,8 @@ func TestInternBytesWarmZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestColumnarBuilderLastWins pins the duplicate-ID semantics to the map
-// engine's: the last-added row of an ID wins.
+// TestColumnarBuilderLastWins pins the duplicate-ID semantics of a keyed
+// set overwritten in scan order: the last-added row of an ID wins.
 func TestColumnarBuilderLastWins(t *testing.T) {
 	tab := NewInternTable()
 	b := NewColumnarBuilder(tab, KindFiles, ViewRawMFT, 4)
@@ -71,17 +65,12 @@ func TestColumnarBuilderLastWins(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	e, ok := c.Lookup(`C:\A`)
-	if !ok || e.Display != "second" || e.Detail != "d3" {
-		t.Fatalf("last add must win, got %+v", e)
+	want := map[string]Entry{
+		`C:\A`: {ID: `C:\A`, Display: "second", Detail: "d3"},
+		`C:\B`: {ID: `C:\B`, Display: "other", Detail: "d2"},
 	}
-	// The adapter must agree with a map snapshot built the same way.
-	m := newSnapshot(KindFiles, ViewRawMFT)
-	m.add(Entry{ID: `C:\A`, Display: "first", Detail: "d1"})
-	m.add(Entry{ID: `C:\B`, Display: "other", Detail: "d2"})
-	m.add(Entry{ID: `C:\A`, Display: "second", Detail: "d3"})
-	if !reflect.DeepEqual(c.Snapshot().Entries, m.Entries) {
-		t.Fatalf("adapter mismatch:\ncolumnar %+v\nmap      %+v", c.Snapshot().Entries, m.Entries)
+	if got := c.Snapshot().Entries; !reflect.DeepEqual(got, want) {
+		t.Fatalf("last add must win:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -105,10 +94,12 @@ func buildPair(tab *InternTable, n int, hide, phantom map[int]bool) (high, low *
 	return hb.Build(), lb.Build()
 }
 
-// TestDiffColumnarMatchesMapEngine is the in-package differential check:
-// the merge-join engine and the map engine must produce byte-identical
-// sealed reports on the same inputs, including hidden, phantom, noise,
-// and mass-hiding shapes. (The corpus-wide version lives in ghostfuzz.)
+// TestDiffColumnarMatchesMapEngine checks the merge-join against the
+// keyed-set difference its inputs define: every hidden ID (in the low
+// view only) is reported Hidden, every phantom ID (in the high view
+// only) Phantom, each with its own side's display and detail, in ID
+// order, and the mass-hiding anomaly trips above the threshold. (The
+// corpus-wide version lives in ghostfuzz.)
 func TestDiffColumnarMatchesMapEngine(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -130,48 +121,47 @@ func TestDiffColumnarMatchesMapEngine(t *testing.T) {
 		{"noise-filtered", map[int]bool{5: true}, nil,
 			DiffOptions{NoiseFilters: BaselineNoiseFilters()}},
 	}
+	const n = 1000
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := NewInternTable()
-			high, low := buildPair(tab, 1000, tc.hide, tc.phantom)
-			colR, err := DiffColumnar(high, low, tc.opts)
+			high, low := buildPair(tab, n, tc.hide, tc.phantom)
+			r, err := DiffColumnar(high, low, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapR, err := Diff(high.Snapshot(), low.Snapshot(), tc.opts)
-			if err != nil {
-				t.Fatal(err)
+			want := &Report{Kind: KindFiles, HighView: ViewWin32Inside, LowView: ViewRawMFT}
+			for i := 0; i < n; i++ { // IDs are zero-padded: index order is ID order
+				if id := fmt.Sprintf(`C:\FILES\FILE%06d.DAT`, i); tc.hide[i] {
+					want.Hidden = append(want.Hidden, Finding{Kind: KindFiles, ID: id, Display: id, Detail: "1 bytes"})
+				}
+				if id := fmt.Sprintf(`C:\PHANTOM\GHOST%06d.TMP`, i); tc.phantom[i] {
+					want.Phantom = append(want.Phantom, Finding{Kind: KindFiles, ID: id, Display: id, Detail: "0 bytes"})
+				}
 			}
-			colR.Seal()
-			mapR.Seal()
-			colJSON, _ := json.Marshal(colR)
-			mapJSON, _ := json.Marshal(mapR)
-			if !bytes.Equal(colJSON, mapJSON) {
-				t.Fatalf("engines disagree:\ncolumnar %s\nmap      %s", colJSON, mapJSON)
+			want.Elapsed = time.Duration(2*n-len(tc.hide)+len(tc.phantom)) * costDiffPerEntry
+			if len(want.Hidden) > DefaultMassHidingThreshold {
+				want.MassHiding = &MassHidingAnomaly{HiddenCount: len(want.Hidden), Threshold: DefaultMassHidingThreshold}
+			}
+			if !reflect.DeepEqual(r, want) {
+				got, _ := json.Marshal(r)
+				exp, _ := json.Marshal(want)
+				t.Fatalf("diff disagrees with the set difference:\ngot  %s\nwant %s", got, exp)
 			}
 		})
 	}
 }
 
-// TestDiffColumnarTableMismatchFallsBack: snapshots from different
-// tables have incomparable symbol orders; DiffColumnar must still
-// return the correct (map-engine) result.
-func TestDiffColumnarTableMismatchFallsBack(t *testing.T) {
-	t1, t2 := NewInternTable(), NewInternTable()
-	hb := NewColumnarBuilder(t1, KindFiles, ViewWin32Inside, 2)
-	hb.Add(`C:\B`, `C:\B`, "")
-	lb := NewColumnarBuilder(t2, KindFiles, ViewRawMFT, 2)
-	lb.Add(`C:\B`, `C:\B`, "")
-	lb.Add(`C:\A`, `C:\A`, "") // interned later in t2, so symbol order != ID order
-	r, err := DiffColumnar(hb.Build(), lb.Build(), DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestDiffColumnarTableMismatchErrors: snapshots from different tables
+// have incomparable symbol orders, so both entry points refuse them
+// loudly instead of guessing.
+func TestDiffColumnarTableMismatchErrors(t *testing.T) {
+	high := snapOf(NewInternTable(), KindFiles, ViewWin32Inside, `C:\B`)
+	low := snapOf(NewInternTable(), KindFiles, ViewRawMFT, `C:\B`, `C:\A`)
+	if r, err := DiffColumnar(high, low, DiffOptions{}); err == nil {
+		t.Fatalf("DiffColumnar must refuse mismatched tables, got %+v", r)
 	}
-	if len(r.Hidden) != 1 || r.Hidden[0].ID != `C:\A` {
-		t.Fatalf("fallback diff wrong: %+v", r.Hidden)
-	}
-	var rr Report
-	if err := DiffColumnarInto(&rr, hb.Build(), lb.Build(), DiffOptions{}); err == nil {
+	if err := DiffColumnarInto(&Report{}, high, low, DiffOptions{}); err == nil {
 		t.Fatal("DiffColumnarInto must refuse mismatched tables")
 	}
 }

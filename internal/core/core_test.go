@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,22 +283,18 @@ func TestCrashDumpScanMatchesLive(t *testing.T) {
 	if _, err := m.StartProcess("x.exe", `C:\x.exe`); err != nil {
 		t.Fatal(err)
 	}
-	live, err := ScanProcsLow(m, false)
+	tab := NewInternTable()
+	live, err := scanProcsLowC(m, false, m.Clock, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	img := kmemImage(m)
-	dumped, err := ScanProcsFromDump(img, m.Kern.Layout(), false)
+	dumped, err := ScanProcsFromDump(img, m.Kern.Layout(), false, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Len() != dumped.Len() {
-		t.Errorf("live %d vs dump %d", live.Len(), dumped.Len())
-	}
-	for id := range live.Entries {
-		if _, ok := dumped.Entries[id]; !ok {
-			t.Errorf("dump missing %s", id)
-		}
+	if live.Len() == 0 || !slices.Equal(live.ids, dumped.ids) || !slices.Equal(live.displays, dumped.displays) {
+		t.Errorf("live %v vs dump %v", live.Snapshot().Entries, dumped.Snapshot().Entries)
 	}
 }
 
@@ -359,22 +356,32 @@ func TestNoiseFiltersSeparateChurn(t *testing.T) {
 	}
 }
 
+// snapOf builds a columnar snapshot over tab whose entries are ids,
+// each displayed as itself.
+func snapOf(tab *InternTable, kind ResourceKind, view View, ids ...string) *ColumnarSnapshot {
+	b := NewColumnarBuilder(tab, kind, view, len(ids))
+	for _, id := range ids {
+		b.Add(id, id, "")
+	}
+	return b.Build()
+}
+
+// TestDiffRejectsKindMismatch: the report-reusing entry point refuses a
+// kind mismatch like DiffColumnar does (TestDiffColumnarKindMismatch).
 func TestDiffRejectsKindMismatch(t *testing.T) {
-	a := newSnapshot(KindFiles, ViewWin32Inside)
-	b := newSnapshot(KindProcesses, ViewKernelAPL)
-	if _, err := Diff(a, b, DiffOptions{}); err == nil {
+	tab := NewInternTable()
+	a := snapOf(tab, KindFiles, ViewWin32Inside)
+	b := snapOf(tab, KindProcesses, ViewKernelAPL)
+	if err := DiffColumnarInto(&Report{}, a, b, DiffOptions{}); err == nil {
 		t.Error("kind mismatch should error")
 	}
 }
 
 func TestPhantomDirection(t *testing.T) {
-	high := newSnapshot(KindFiles, ViewWin32Inside)
-	low := newSnapshot(KindFiles, ViewRawMFT)
-	high.add(Entry{ID: "ONLY-HIGH", Display: "only-high"})
-	low.add(Entry{ID: "ONLY-LOW", Display: "only-low"})
-	high.add(Entry{ID: "BOTH"})
-	low.add(Entry{ID: "BOTH"})
-	r, err := Diff(high, low, DiffOptions{})
+	tab := NewInternTable()
+	high := snapOf(tab, KindFiles, ViewWin32Inside, "ONLY-HIGH", "BOTH")
+	low := snapOf(tab, KindFiles, ViewRawMFT, "ONLY-LOW", "BOTH")
+	r, err := DiffColumnar(high, low, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,26 +467,30 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestQuickDiffPartitions: for arbitrary high/low ID sets, Diff must
-// partition exactly: hidden+noise = low\high, phantom = high\low, and
-// nothing in the intersection is reported.
+// TestQuickDiffPartitions: for arbitrary high/low ID sets, the diff
+// must partition exactly: hidden+noise = low\high, phantom = high\low,
+// and nothing in the intersection is reported.
 func TestQuickDiffPartitions(t *testing.T) {
 	f := func(highIDs, lowIDs []uint8) bool {
-		high := newSnapshot(KindFiles, ViewWin32Inside)
-		low := newSnapshot(KindFiles, ViewRawMFT)
+		tab := NewInternTable()
+		var his, los []string
 		hs := map[string]bool{}
 		for _, x := range highIDs {
 			id := "E" + itoa(int(x)%40)
 			hs[id] = true
-			high.add(Entry{ID: id, Display: id})
+			his = append(his, id)
 		}
 		ls := map[string]bool{}
 		for _, x := range lowIDs {
 			id := "E" + itoa(int(x)%40)
 			ls[id] = true
-			low.add(Entry{ID: id, Display: id})
+			los = append(los, id)
 		}
-		r, err := Diff(high, low, DiffOptions{MassHidingThreshold: -1})
+		// Intern the low side first, so symbol order differs from the
+		// high side's insertion order.
+		low := snapOf(tab, KindFiles, ViewRawMFT, los...)
+		high := snapOf(tab, KindFiles, ViewWin32Inside, his...)
+		r, err := DiffColumnar(high, low, DiffOptions{MassHidingThreshold: -1})
 		if err != nil {
 			return false
 		}

@@ -167,10 +167,10 @@ func TestCacheRefusesFaultEpochCrossings(t *testing.T) {
 	// Every read of the epoch advances it, so each parse sees a "fault"
 	// fire mid-parse and must decline to memoize.
 	m.FaultEpoch = func() uint64 { return epoch.Add(1) }
-	if _, err := c.ScanFilesLow(); err != nil {
+	if _, err := cachedFilesLow(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ScanFilesLow(); err != nil {
+	if _, err := cachedFilesLow(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
@@ -178,10 +178,10 @@ func TestCacheRefusesFaultEpochCrossings(t *testing.T) {
 	}
 	// With a stable epoch the next parse memoizes and the one after hits.
 	m.FaultEpoch = func() uint64 { return 42 }
-	if _, err := c.ScanFilesLow(); err != nil {
+	if _, err := cachedFilesLow(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ScanFilesLow(); err != nil {
+	if _, err := cachedFilesLow(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 {
@@ -190,10 +190,10 @@ func TestCacheRefusesFaultEpochCrossings(t *testing.T) {
 
 	// Same guard on the ASEP side.
 	m.FaultEpoch = func() uint64 { return epoch.Add(1) }
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ScanASEPLow(); err != nil {
+	if _, err := cachedASEPLow(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 5 {

@@ -111,14 +111,14 @@ func (d *Detector) lowFilesC(clk *vtime.Clock, workers int, t *InternTable) (*Co
 	if d.Cache != nil {
 		return d.Cache.scanFilesLowOn(clk, workers)
 	}
-	return scanFilesLowC(d.M, clk, workers, t)
+	return ScanFilesLowC(d.M, clk, workers, t)
 }
 
 func (d *Detector) lowASEPsC(clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	if d.Cache != nil {
 		return d.Cache.scanASEPLowOn(clk)
 	}
-	return scanASEPLowC(d.M, clk, t)
+	return ScanASEPLowC(d.M, clk, t)
 }
 
 func (d *Detector) call() (*winapi.Call, error) {
@@ -148,7 +148,7 @@ func (d *Detector) ScanFiles() (*Report, error) {
 		return nil, err
 	}
 	t := d.table()
-	high, err := scanFilesHighC(d.M, call, t)
+	high, err := ScanFilesHighC(d.M, call, t)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (d *Detector) ScanFiles() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealedDiffColumnar(high, low, d.Opts)
+	return SealedDiffColumnar(high, low, d.Opts)
 }
 
 // ScanASEPs runs the inside-the-box hidden-Registry detection (§3).
@@ -166,7 +166,7 @@ func (d *Detector) ScanASEPs() (*Report, error) {
 		return nil, err
 	}
 	t := d.table()
-	high, err := scanASEPHighC(d.M, call, t)
+	high, err := ScanASEPHighC(d.M, call, t)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func (d *Detector) ScanASEPs() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealedDiffColumnar(high, low, d.Opts)
+	return SealedDiffColumnar(high, low, d.Opts)
 }
 
 // ScanProcesses runs the inside-the-box hidden-process detection (§4).
@@ -184,7 +184,7 @@ func (d *Detector) ScanProcesses() (*Report, error) {
 		return nil, err
 	}
 	t := d.table()
-	high, err := scanProcsHighC(d.M, call, t)
+	high, err := ScanProcsHighC(d.M, call, t)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func (d *Detector) ScanProcesses() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealedDiffColumnar(high, low, d.Opts)
+	return SealedDiffColumnar(high, low, d.Opts)
 }
 
 // ScanModules runs the inside-the-box hidden-module detection (§4). The
@@ -208,7 +208,7 @@ func (d *Detector) ScanModules() (*Report, error) {
 		return nil, err
 	}
 	t := d.table()
-	high, err := scanModsHighC(d.M, call, pids, t)
+	high, err := ScanModsHighC(d.M, call, pids, t)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (d *Detector) ScanModules() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealedDiffColumnar(high, low, d.Opts)
+	return SealedDiffColumnar(high, low, d.Opts)
 }
 
 // ScanAll runs all four detections and returns the reports in the
@@ -360,11 +360,11 @@ func (d *Detector) scanUnits(workers int, t *InternTable, pids func() ([]uint64,
 	// small and finish early, freeing cores for the decode shards).
 	units := make([]func(*vtime.Clock) (*ColumnarSnapshot, error), 0, 2*len(specs))
 	units = append(units,
-		highUnit(scanFilesHighC),
+		highUnit(ScanFilesHighC),
 		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowFilesC(clk, workers, t) },
-		highUnit(scanASEPHighC),
+		highUnit(ScanASEPHighC),
 		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowASEPsC(clk, t) },
-		highUnit(scanProcsHighC),
+		highUnit(ScanProcsHighC),
 		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanProcsLowC(d.M, d.Advanced, clk, t) },
 		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 			call, err := d.callOn(clk)
@@ -375,7 +375,7 @@ func (d *Detector) scanUnits(workers int, t *InternTable, pids func() ([]uint64,
 			if err != nil {
 				return nil, err
 			}
-			return scanModsHighC(d.M, call, p, t)
+			return ScanModsHighC(d.M, call, p, t)
 		},
 		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 			p, err := pids()

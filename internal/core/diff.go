@@ -19,51 +19,17 @@ type DiffOptions struct {
 	MassHidingThreshold int
 }
 
-// Diff compares a high-level (possibly lied-to) snapshot with a
-// low-level or outside (truth) snapshot of the same resource kind.
-// Entries present only in the truth view are hidden resources.
-//
-// This is the map-probe engine, kept for map-backed snapshots built by
-// outside-the-box adapters; the detector hot path runs DiffColumnar,
-// which produces byte-identical reports (a property the differential
-// suite in internal/ghostfuzz enforces over the whole corpus).
-func Diff(high, low *Snapshot, opts DiffOptions) (*Report, error) {
-	if high.Kind != low.Kind {
-		return nil, fmt.Errorf("core: diffing %v against %v", high.Kind, low.Kind)
-	}
-	r := &Report{
-		Kind: high.Kind, HighView: high.View, LowView: low.View,
-		HighSkipped: high.Skipped, LowSkipped: low.Skipped,
-	}
-	for id, e := range low.Entries {
-		if _, visible := high.Entries[id]; visible {
-			continue
-		}
-		classifyHidden(r, Finding{Kind: low.Kind, ID: id, Display: e.Display, Detail: e.Detail}, opts)
-	}
-	for id, e := range high.Entries {
-		if _, present := low.Entries[id]; !present {
-			r.Phantom = append(r.Phantom, Finding{Kind: high.Kind, ID: id, Display: e.Display, Detail: e.Detail})
-		}
-	}
-	sortFindings(r.Hidden)
-	sortFindings(r.Noise)
-	sortFindings(r.Phantom)
-	finishReport(r, high.Elapsed+low.Elapsed, high.Len()+low.Len(), opts)
-	return r, nil
-}
-
-// DiffColumnar is the columnar diff engine: a sorted merge-join over
-// the two snapshots' interned-ID columns. Both snapshots must index the
-// same InternTable (every snapshot one detector builds does); snapshots
-// from different tables fall back to the map engine via the adapter,
-// since their symbol orders are not comparable.
+// DiffColumnar compares a high-level (possibly lied-to) snapshot with a
+// low-level or outside (truth) snapshot of the same resource kind:
+// entries present only in the truth view are hidden resources, entries
+// present only in the high view are phantoms. It is a sorted merge-join
+// over the two snapshots' interned-ID columns, so both snapshots must
+// index the same InternTable — every snapshot one detector or one
+// outside-the-box check builds does. Snapshots from different tables
+// have incomparable symbol orders and are refused.
 func DiffColumnar(high, low *ColumnarSnapshot, opts DiffOptions) (*Report, error) {
-	if high.Kind != low.Kind {
-		return nil, fmt.Errorf("core: diffing %v against %v", high.Kind, low.Kind)
-	}
-	if high.table != low.table {
-		return Diff(high.Snapshot(), low.Snapshot(), opts)
+	if err := checkPair(high, low); err != nil {
+		return nil, err
 	}
 	r := &Report{}
 	diffColumnarInto(r, high, low, opts)
@@ -77,11 +43,8 @@ func DiffColumnar(high, low *ColumnarSnapshot, opts DiffOptions) (*Report, error
 // not be retained elsewhere; callers that publish reports use
 // DiffColumnar.
 func DiffColumnarInto(r *Report, high, low *ColumnarSnapshot, opts DiffOptions) error {
-	if high.Kind != low.Kind {
-		return fmt.Errorf("core: diffing %v against %v", high.Kind, low.Kind)
-	}
-	if high.table != low.table {
-		return fmt.Errorf("core: diffing snapshots from different intern tables")
+	if err := checkPair(high, low); err != nil {
+		return err
 	}
 	hidden, noise, phantom := r.Hidden[:0], r.Noise[:0], r.Phantom[:0]
 	*r = Report{Hidden: hidden, Noise: noise, Phantom: phantom}
@@ -98,10 +61,21 @@ func DiffColumnarInto(r *Report, high, low *ColumnarSnapshot, opts DiffOptions) 
 	return nil
 }
 
+// checkPair refuses a pair the merge-join cannot compare.
+func checkPair(high, low *ColumnarSnapshot) error {
+	if high.Kind != low.Kind {
+		return fmt.Errorf("core: diffing %v against %v", high.Kind, low.Kind)
+	}
+	if high.table != low.table {
+		return fmt.Errorf("core: diffing snapshots from different intern tables")
+	}
+	return nil
+}
+
 // diffColumnarInto merge-joins into r, which carries (possibly
 // preallocated, length-zero) finding slices. Findings surface in symbol
 // order and are re-sorted to canonical ID order afterwards, so the
-// output is byte-identical to the map engine's.
+// report does not depend on the order identities were interned in.
 func diffColumnarInto(r *Report, high, low *ColumnarSnapshot, opts DiffOptions) {
 	r.Kind = high.Kind
 	r.HighView = high.View
@@ -149,8 +123,8 @@ func classifyHidden(r *Report, f Finding, opts DiffOptions) {
 	r.Hidden = append(r.Hidden, f)
 }
 
-// finishReport applies the shared tail of both diff engines: the
-// virtual-time charge and the mass-hiding anomaly check.
+// finishReport applies the report tail: the virtual-time charge and the
+// mass-hiding anomaly check.
 func finishReport(r *Report, scanElapsed time.Duration, entries int, opts DiffOptions) {
 	threshold := opts.MassHidingThreshold
 	if threshold == 0 {
@@ -162,20 +136,10 @@ func finishReport(r *Report, scanElapsed time.Duration, entries int, opts DiffOp
 	}
 }
 
-// SealedDiff is Diff plus a digest seal — the form every emission path
-// (detector scan methods, outside-the-box checks) uses. Diff itself
-// stays allocation-lean for callers that diff snapshots in a loop.
-func SealedDiff(high, low *Snapshot, opts DiffOptions) (*Report, error) {
-	r, err := Diff(high, low, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.Seal()
-	return r, nil
-}
-
-// sealedDiffColumnar is SealedDiff for the columnar engine.
-func sealedDiffColumnar(high, low *ColumnarSnapshot, opts DiffOptions) (*Report, error) {
+// SealedDiffColumnar is DiffColumnar plus a digest seal — the form every
+// emission path (detector scan methods, outside-the-box checks) uses.
+// DiffColumnar itself stays unsealed for callers that diff in a loop.
+func SealedDiffColumnar(high, low *ColumnarSnapshot, opts DiffOptions) (*Report, error) {
 	r, err := DiffColumnar(high, low, opts)
 	if err != nil {
 		return nil, err

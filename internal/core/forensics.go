@@ -12,15 +12,7 @@ import (
 // This file holds the detection surfaces beyond the paper's four
 // resource types: loaded-driver diffing and deleted-file forensics.
 
-// ScanDriversHigh lists loaded drivers through the (hookable) API chain.
-func ScanDriversHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
-	c, err := scanDriversHighC(m, call, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
+// scanDriversHighC lists loaded drivers through the (hookable) API chain.
 func scanDriversHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(m.Clock)
 	drvs, err := m.API.EnumDriversWin32(call)
@@ -44,15 +36,7 @@ func scanDriversHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*C
 	return snap, nil
 }
 
-// ScanDriversLow walks the kernel's loaded-module list directly.
-func ScanDriversLow(m *machine.Machine) (*Snapshot, error) {
-	c, err := scanDriversLowC(m, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
+// scanDriversLowC walks the kernel's loaded-module list directly.
 func scanDriversLowC(m *machine.Machine, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(m.Clock)
 	drvs, err := m.Kern.Drivers()
@@ -91,7 +75,7 @@ func (d *Detector) ScanDrivers() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sealedDiffColumnar(high, low, d.Opts)
+	return SealedDiffColumnar(high, low, d.Opts)
 }
 
 // DeletedFile is one stale MFT record recovered forensically.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ghostbuster/internal/kernel"
-	"ghostbuster/internal/kmem"
 	"ghostbuster/internal/machine"
 	"ghostbuster/internal/ntfs"
 	"ghostbuster/internal/vtime"
@@ -82,41 +81,6 @@ func scanCrossMemLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*Co
 	clk.ChargeOps(int64(limit/carvePageSize)+1, costPerCarvePage)
 	snap.Taken = clk.Now()
 	snap.Elapsed = sw.Elapsed()
-	return snap, nil
-}
-
-// buildProcSnapshot shapes a ProcView list the way the process scanners
-// do, so carve findings diff cleanly against list walks.
-func buildProcSnapshot(t *InternTable, view View, procs []kernel.ProcView) *ColumnarSnapshot {
-	bld := NewColumnarBuilder(t, KindProcesses, view, len(procs))
-	var idBuf, dispBuf []byte
-	for _, p := range procs {
-		if p.Exited {
-			continue
-		}
-		idBuf = appendPidUpperID(idBuf, p.Pid, p.Name)
-		dispBuf = appendProcDisplay(dispBuf, p.Name, p.Pid)
-		bld.AddRow(t.InternBytes(idBuf), t.InternStrBytes(dispBuf), p.ImagePath)
-	}
-	return bld.Build()
-}
-
-// CarveProcsFromDump applies the pool carve to a crash-dump memory
-// image: the same sweep that runs on live memory runs offline, so a
-// memory-only ghost is visible in the dump even if it could tamper with
-// the live scan.
-func CarveProcsFromDump(mem kmem.Reader, limit int) (*Snapshot, error) {
-	snap := newSnapshot(KindProcesses, ViewCrashDump)
-	procs, err := kernel.CarveProcesses(mem, limit)
-	if err != nil {
-		return nil, fmt.Errorf("core: crash-dump pool carve: %w", err)
-	}
-	for _, p := range procs {
-		if p.Exited {
-			continue
-		}
-		snap.add(Entry{ID: procID(p.Pid, p.Name), Display: procDisplay(p.Name, p.Pid), Detail: p.ImagePath})
-	}
 	return snap, nil
 }
 

@@ -55,11 +55,11 @@ func TestNoiseFiltersCaseVariants(t *testing.T) {
 func TestNoiseVariantNotDoubleReported(t *testing.T) {
 	// A churn file enumerated with a trailing dot on the truth side must
 	// land in Noise (once), not in Hidden — and certainly not in both.
-	high := newSnapshot(KindFiles, ViewWin32Inside)
-	low := newSnapshot(KindFiles, ViewRawMFT)
 	const id = `C:\WINDOWS\PREFETCH\NOTEPAD.EXE-AB12.PF.`
-	low.add(Entry{ID: id, Display: id})
-	r, err := Diff(high, low, DiffOptions{NoiseFilters: StandardNoiseFilters()})
+	tab := NewInternTable()
+	high := snapOf(tab, KindFiles, ViewWin32Inside)
+	low := snapOf(tab, KindFiles, ViewRawMFT, id)
+	r, err := DiffColumnar(high, low, DiffOptions{NoiseFilters: StandardNoiseFilters()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,21 +203,22 @@ func TestModuleScanCountsSkippedPids(t *testing.T) {
 	}
 	// Append pids that do not exist: both scans must skip and count them.
 	bogus := append(append([]uint64{}, pids...), 99991, 99993)
-	high, err := ScanModsHigh(m, m.SystemCall(), bogus)
+	tab := NewInternTable()
+	high, err := ScanModsHighC(m, m.SystemCall(), bogus, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if high.Skipped != 2 {
 		t.Errorf("high Skipped = %d, want 2", high.Skipped)
 	}
-	low, err := ScanModsLow(m, bogus)
+	low, err := scanModsLowC(m, bogus, m.Clock, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if low.Skipped != 2 {
 		t.Errorf("low Skipped = %d, want 2", low.Skipped)
 	}
-	r, err := Diff(high, low, DiffOptions{})
+	r, err := DiffColumnar(high, low, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +229,15 @@ func TestModuleScanCountsSkippedPids(t *testing.T) {
 		t.Errorf("summary does not surface skips: %q", r.Summary())
 	}
 	// A scan with no failures must not mention skips.
-	cleanHigh, err := ScanModsHigh(m, m.SystemCall(), pids)
+	cleanHigh, err := ScanModsHighC(m, m.SystemCall(), pids, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanLow, err := ScanModsLow(m, pids)
+	cleanLow, err := scanModsLowC(m, pids, m.Clock, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Diff(cleanHigh, cleanLow, DiffOptions{})
+	clean, err := DiffColumnar(cleanHigh, cleanLow, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

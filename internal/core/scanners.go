@@ -90,12 +90,6 @@ func appendPidUpperID(b []byte, pid uint64, s string) []byte {
 	return ntfs.AppendUpper(b, s)
 }
 
-// pidUpperID is the string form of appendPidUpperID, kept for the
-// map-backed compatibility paths.
-func pidUpperID(pid uint64, s string) string {
-	return string(appendPidUpperID(make([]byte, 0, 26+len(s)), pid, s))
-}
-
 func appendProcDisplay(b []byte, name string, pid uint64) []byte {
 	b = append(b[:0], name...)
 	b = append(b, " (pid "...)
@@ -117,19 +111,10 @@ func appendBaseDetail(b []byte, base uint64) []byte {
 
 // --- file scans -----------------------------------------------------------
 
-// ScanFilesHigh performs the inside-the-box high-level file scan: the
-// equivalent of "dir /s /b" issued by the given process through the
-// FindFirst(Next)File chain. It returns the map-backed adapter form;
-// the detector pipeline uses the columnar core directly.
-func ScanFilesHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
-	c, err := scanFilesHighC(m, call, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-func scanFilesHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
+// ScanFilesHighC performs the inside-the-box high-level file scan over
+// the intern table t: the equivalent of "dir /s /b" issued by the given
+// process through the FindFirst(Next)File chain.
+func ScanFilesHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
 	clk := clockFor(m, call)
 	sw := vtime.NewStopwatch(clk)
 	entries, err := m.API.WalkTreeWin32(call, machine.Drive)
@@ -152,25 +137,15 @@ func scanFilesHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*Col
 	return snap, nil
 }
 
-// ScanFilesLow performs the inside-the-box low-level file scan: parse
+// ScanFilesLowC performs the inside-the-box low-level file scan: parse
 // the live device bytes (the Master File Table) directly, bypassing
-// every API layer.
-func ScanFilesLow(m *machine.Machine) (*Snapshot, error) {
-	c, err := scanFilesLowC(m, m.Clock, 1, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-// scanFilesLowC is the columnar low-level file scan charging an
-// explicit clock (a parallel sweep lane). The raw parse holds the
-// volume's read lock, so it sees a consistent device image even while
-// mutators run on other goroutines, and the zero-copy record decode
-// never outlives the lock. workers shards the MFT record decode (see
-// ntfs.RawScanParallel); the snapshot and its virtual-time charges are
-// identical for any count.
-func scanFilesLowC(m *machine.Machine, clk *vtime.Clock, workers int, t *InternTable) (*ColumnarSnapshot, error) {
+// every API layer, charging clk (the machine clock, or a parallel sweep
+// lane's). The raw parse holds the volume's read lock, so it sees a
+// consistent device image even while mutators run on other goroutines,
+// and the zero-copy record decode never outlives the lock. workers
+// shards the MFT record decode (see ntfs.RawScanParallel); the snapshot
+// and its virtual-time charges are identical for any count.
+func ScanFilesLowC(m *machine.Machine, clk *vtime.Clock, workers int, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
 	var snap *ColumnarSnapshot
 	err := m.Disk.WithDevice(func(dev []byte) error {
@@ -261,32 +236,24 @@ func scanImageDriveC(image []byte, view View, drive string, workers int, t *Inte
 
 // ScanFilesImage is the outside-the-box file scan over a disk image
 // obtained from a clean environment (WinPE boot or a powered-down VM's
-// virtual disk).
-func ScanFilesImage(image []byte, view View, clock *vtime.Clock, p machine.Profile) (*Snapshot, error) {
+// virtual disk), built over the table the inside scan used.
+func ScanFilesImage(image []byte, view View, clock *vtime.Clock, p machine.Profile, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clock)
-	snap, err := scanImageC(image, view, 1, NewInternTable())
+	snap, err := scanImageC(image, view, 1, t)
 	if err != nil {
 		return nil, err
 	}
 	chargeRawMFTRead(clock, p, snap.Len())
 	snap.Taken = clock.Now()
 	snap.Elapsed = sw.Elapsed()
-	return snap.Snapshot(), nil
+	return snap, nil
 }
 
 // --- ASEP hook scans ----------------------------------------------------------
 
-// ScanASEPHigh collects ASEP hooks through the Win32 Registry chain
+// ScanASEPHighC collects ASEP hooks through the Win32 Registry chain
 // (what RegEdit shows).
-func ScanASEPHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
-	c, err := scanASEPHighC(m, call, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-func scanASEPHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
+func ScanASEPHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
 	clk := clockFor(m, call)
 	sw := vtime.NewStopwatch(clk)
 	// CollectHooks treats a failed query as "key absent from this view"
@@ -350,21 +317,12 @@ func win32DataString(v winapi.KeyValue) string {
 	return s
 }
 
-// ScanASEPLow collects ASEP hooks by copying each mounted hive file and
+// ScanASEPLowC collects ASEP hooks by copying each mounted hive file and
 // parsing it directly — "truth approximation" (paper §3), since
-// sufficiently privileged ghostware could interfere with the copy.
-func ScanASEPLow(m *machine.Machine) (*Snapshot, error) {
-	c, err := scanASEPLowC(m, m.Clock, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-// scanASEPLowC is the columnar low-level ASEP scan charging an explicit
-// clock. Each hive is snapshot-copied under its own lock, so the
+// sufficiently privileged ghostware could interfere with the copy. It
+// charges clk. Each hive is snapshot-copied under its own lock, so the
 // offline parse is immune to concurrent Registry commits.
-func scanASEPLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
+func ScanASEPLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
 	images := map[string][]byte{}
 	for _, root := range m.Reg.Roots() {
@@ -497,34 +455,25 @@ func scanASEPImagesC(images map[string][]byte, view View, t *InternTable) (*Colu
 }
 
 // ScanASEPImages is the outside-the-box ASEP scan over hive files read
-// from the system drive under a clean OS.
-func ScanASEPImages(images map[string][]byte, view View, clock *vtime.Clock, p machine.Profile) (*Snapshot, error) {
+// from the system drive under a clean OS, built over the table the
+// inside scan used.
+func ScanASEPImages(images map[string][]byte, view View, clock *vtime.Clock, p machine.Profile, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clock)
-	snap, parsed, err := scanASEPImagesC(images, view, NewInternTable())
+	snap, parsed, err := scanASEPImagesC(images, view, t)
 	if err != nil {
 		return nil, err
 	}
 	clock.ChargeOps(int64(float64(parsed)*p.RepRegFactor()), costPerRepKeyParse)
 	snap.Taken = clock.Now()
 	snap.Elapsed = sw.Elapsed()
-	return snap.Snapshot(), nil
+	return snap, nil
 }
 
 // --- process scans --------------------------------------------------------------
 
-func procID(pid uint64, name string) string { return pidUpperID(pid, name) }
-
-// ScanProcsHigh lists processes through the full API chain (what Task
+// ScanProcsHighC lists processes through the full API chain (what Task
 // Manager and tlist see).
-func ScanProcsHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
-	c, err := scanProcsHighC(m, call, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-func scanProcsHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
+func ScanProcsHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*ColumnarSnapshot, error) {
 	clk := clockFor(m, call)
 	sw := vtime.NewStopwatch(clk)
 	procs, err := m.API.EnumProcessesWin32(call)
@@ -545,18 +494,10 @@ func scanProcsHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*Col
 	return snap, nil
 }
 
-// ScanProcsLow traverses kernel structures directly via a driver. In
+// scanProcsLowC traverses kernel structures directly via a driver. In
 // normal mode it walks the Active Process List (sufficient for
 // API-intercepting ghostware); in advanced mode it walks the CID table,
 // which also exposes DKOM-hidden processes.
-func ScanProcsLow(m *machine.Machine, advanced bool) (*Snapshot, error) {
-	c, err := scanProcsLowC(m, advanced, m.Clock, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
 func scanProcsLowC(m *machine.Machine, advanced bool, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
 	view := ViewKernelAPL
@@ -569,6 +510,31 @@ func scanProcsLowC(m *machine.Machine, advanced bool, clk *vtime.Clock, t *Inter
 	if err != nil {
 		return nil, fmt.Errorf("core: low-level process scan: %w", err)
 	}
+	snap := buildProcSnapshot(t, view, procs)
+	clk.ChargeOps(int64(len(procs)), costPerProcess)
+	snap.Taken = clk.Now()
+	snap.Elapsed = sw.Elapsed()
+	return snap, nil
+}
+
+// ScanProcsFromDump applies the same traversal to a crash-dump memory
+// image (the paper's outside-the-box scan for volatile state).
+func ScanProcsFromDump(mem kmem.Reader, layout kernel.Layout, advanced bool, t *InternTable) (*ColumnarSnapshot, error) {
+	walker := kernel.WalkActiveProcessList
+	if advanced {
+		walker = kernel.WalkCidProcesses
+	}
+	procs, err := walker(mem, layout)
+	if err != nil {
+		return nil, fmt.Errorf("core: crash-dump process scan: %w", err)
+	}
+	return buildProcSnapshot(t, ViewCrashDump, procs), nil
+}
+
+// buildProcSnapshot shapes process rows — every process view, live,
+// carved or dumped, goes through here, so the views diff cleanly
+// against each other. Exited processes are skipped.
+func buildProcSnapshot(t *InternTable, view View, procs []kernel.ProcView) *ColumnarSnapshot {
 	bld := NewColumnarBuilder(t, KindProcesses, view, len(procs))
 	var idBuf, dispBuf []byte
 	for _, p := range procs {
@@ -579,65 +545,17 @@ func scanProcsLowC(m *machine.Machine, advanced bool, clk *vtime.Clock, t *Inter
 		dispBuf = appendProcDisplay(dispBuf, p.Name, p.Pid)
 		bld.AddRow(t.InternBytes(idBuf), t.InternStrBytes(dispBuf), p.ImagePath)
 	}
-	snap := bld.Build()
-	clk.ChargeOps(int64(len(procs)), costPerProcess)
-	snap.Taken = clk.Now()
-	snap.Elapsed = sw.Elapsed()
-	return snap, nil
-}
-
-// ScanProcsFromDump applies the same traversal to a crash-dump memory
-// image (the paper's outside-the-box scan for volatile state).
-func ScanProcsFromDump(mem kmem.Reader, layout kernel.Layout, advanced bool) (*Snapshot, error) {
-	view := ViewCrashDump
-	walker := kernel.WalkActiveProcessList
-	if advanced {
-		walker = kernel.WalkCidProcesses
-	}
-	snap := newSnapshot(KindProcesses, view)
-	procs, err := walker(mem, layout)
-	if err != nil {
-		return nil, fmt.Errorf("core: crash-dump process scan: %w", err)
-	}
-	for _, p := range procs {
-		if p.Exited {
-			continue
-		}
-		snap.add(Entry{ID: procID(p.Pid, p.Name), Display: procDisplay(p.Name, p.Pid), Detail: p.ImagePath})
-	}
-	return snap, nil
-}
-
-func procDisplay(name string, pid uint64) string {
-	return string(appendProcDisplay(make([]byte, 0, len(name)+27), name, pid))
-}
-
-func modDisplay(pid uint64, path string) string {
-	return string(appendModDisplay(make([]byte, 0, 26+len(path)), pid, path))
-}
-
-func baseDetail(base uint64) string {
-	return string(appendBaseDetail(make([]byte, 0, 23), base))
+	return bld.Build()
 }
 
 // --- module scans ----------------------------------------------------------------
 
-func modID(pid uint64, path string) string { return pidUpperID(pid, path) }
-
-// ScanModsHigh enumerates the modules of every process on the given pid
-// list through the API chain. Pids whose enumeration fails (the process
-// may have exited mid-scan) are skipped and counted in snap.Skipped, so
-// a sweep that lost half its processes is distinguishable from a clean
-// one.
-func ScanModsHigh(m *machine.Machine, call *winapi.Call, pids []uint64) (*Snapshot, error) {
-	c, err := scanModsHighC(m, call, pids, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
-func scanModsHighC(m *machine.Machine, call *winapi.Call, pids []uint64, t *InternTable) (*ColumnarSnapshot, error) {
+// ScanModsHighC enumerates the modules of every process on the given
+// pid list through the API chain. Pids whose enumeration fails (the
+// process may have exited mid-scan) are skipped and counted in
+// snap.Skipped, so a sweep that lost half its processes is
+// distinguishable from a clean one.
+func ScanModsHighC(m *machine.Machine, call *winapi.Call, pids []uint64, t *InternTable) (*ColumnarSnapshot, error) {
 	clk := clockFor(m, call)
 	sw := vtime.NewStopwatch(clk)
 	bld := NewColumnarBuilder(t, KindModules, ViewWin32Inside, 0)
@@ -672,17 +590,9 @@ func scanModsHighC(m *machine.Machine, call *winapi.Call, pids []uint64, t *Inte
 	return snap, nil
 }
 
-// ScanModsLow extracts the module truth for the same pids from the
+// scanModsLowC extracts the module truth for the same pids from the
 // kernel's VAD image lists. Unreadable pids are skipped and counted,
-// mirroring ScanModsHigh.
-func ScanModsLow(m *machine.Machine, pids []uint64) (*Snapshot, error) {
-	c, err := scanModsLowC(m, pids, m.Clock, NewInternTable())
-	if err != nil {
-		return nil, err
-	}
-	return c.Snapshot(), nil
-}
-
+// mirroring ScanModsHighC.
 func scanModsLowC(m *machine.Machine, pids []uint64, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
 	bld := NewColumnarBuilder(t, KindModules, ViewKernelVAD, 0)
@@ -711,14 +621,29 @@ func scanModsLowC(m *machine.Machine, pids []uint64, clk *vtime.Clock, t *Intern
 	return snap, nil
 }
 
-// NewModuleSnapshot creates an empty module snapshot for external
-// builders (the crash-dump module scan assembles one from dump walks).
-func NewModuleSnapshot(view View) *Snapshot { return newSnapshot(KindModules, view) }
-
-// AddModuleEntry records one module occurrence in a module snapshot.
-func AddModuleEntry(s *Snapshot, pid uint64, path string, base uint64) {
-	s.add(Entry{ID: modID(pid, path), Display: modDisplay(pid, path), Detail: baseDetail(base)})
+// ModuleBuilder shapes module rows the way the module scanners do, for
+// a truth view assembled outside core (the crash-dump VAD walk).
+type ModuleBuilder struct {
+	bld                    *ColumnarBuilder
+	idBuf, dispBuf, detBuf []byte
 }
+
+// NewModuleBuilder starts a module snapshot of the given view over t.
+func NewModuleBuilder(t *InternTable, view View) *ModuleBuilder {
+	return &ModuleBuilder{bld: NewColumnarBuilder(t, KindModules, view, 0)}
+}
+
+// Add records one module occurrence.
+func (b *ModuleBuilder) Add(pid uint64, path string, base uint64) {
+	t := b.bld.table
+	b.idBuf = appendPidUpperID(b.idBuf, pid, path)
+	b.dispBuf = appendModDisplay(b.dispBuf, pid, path)
+	b.detBuf = appendBaseDetail(b.detBuf, base)
+	b.bld.AddRow(t.InternBytes(b.idBuf), t.InternStrBytes(b.dispBuf), t.InternStrBytes(b.detBuf))
+}
+
+// Build sorts the recorded modules into a columnar snapshot.
+func (b *ModuleBuilder) Build() *ColumnarSnapshot { return b.bld.Build() }
 
 // TruthPids returns the pid set from the advanced (CID) view — the pid
 // list GhostBuster feeds to the module scans so that modules of hidden
@@ -733,4 +658,55 @@ func TruthPids(m *machine.Machine) ([]uint64, error) {
 		pids = append(pids, p.Pid)
 	}
 	return pids, nil
+}
+
+// --- map-form adapters ------------------------------------------------------------
+
+// The map-form scanners below run their columnar scan over a fresh
+// intern table and materialize the map-backed Snapshot. They exist only
+// because bench/layers.go times each scan through these names; no
+// detection path calls them.
+
+// ScanFilesHigh is ScanFilesHighC in map form.
+func ScanFilesHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
+	return mapForm(ScanFilesHighC(m, call, NewInternTable()))
+}
+
+// ScanFilesLow is ScanFilesLowC on the machine clock, in map form.
+func ScanFilesLow(m *machine.Machine) (*Snapshot, error) {
+	return mapForm(ScanFilesLowC(m, m.Clock, 1, NewInternTable()))
+}
+
+// ScanASEPHigh is ScanASEPHighC in map form.
+func ScanASEPHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
+	return mapForm(ScanASEPHighC(m, call, NewInternTable()))
+}
+
+// ScanProcsHigh is ScanProcsHighC in map form.
+func ScanProcsHigh(m *machine.Machine, call *winapi.Call) (*Snapshot, error) {
+	return mapForm(ScanProcsHighC(m, call, NewInternTable()))
+}
+
+// ScanProcsLow is the low-level process scan on the machine clock, in
+// map form.
+func ScanProcsLow(m *machine.Machine, advanced bool) (*Snapshot, error) {
+	return mapForm(scanProcsLowC(m, advanced, m.Clock, NewInternTable()))
+}
+
+// ScanModsHigh is ScanModsHighC in map form.
+func ScanModsHigh(m *machine.Machine, call *winapi.Call, pids []uint64) (*Snapshot, error) {
+	return mapForm(ScanModsHighC(m, call, pids, NewInternTable()))
+}
+
+// ScanModsLow is the low-level module scan on the machine clock, in map
+// form.
+func ScanModsLow(m *machine.Machine, pids []uint64) (*Snapshot, error) {
+	return mapForm(scanModsLowC(m, pids, m.Clock, NewInternTable()))
+}
+
+func mapForm(c *ColumnarSnapshot, err error) (*Snapshot, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.Snapshot(), nil
 }

@@ -79,9 +79,11 @@ type Entry struct {
 	Detail  string `json:"detail"`  // auxiliary information (size, pid, hook data)
 }
 
-// Snapshot is the result of one scan: a keyed set of entries. This is
-// the serialization and interchange form; the detector hot path runs on
-// ColumnarSnapshot and materializes this adapter at API boundaries.
+// Snapshot is the map-backed form of one scan result: a keyed set of
+// entries, with a stable JSON wire format. Every scan and diff runs on
+// ColumnarSnapshot; this form exists only for the map-form scanner
+// adapters the bench/ probes compile against (ColumnarSnapshot.Snapshot
+// materializes it, SnapshotColumnar converts it back).
 type Snapshot struct {
 	Kind    ResourceKind     `json:"kind"`
 	View    View             `json:"view"`
@@ -92,21 +94,6 @@ type Snapshot struct {
 	// whose process exited mid-scan). A snapshot that skipped half its
 	// targets must not be mistaken for a clean one.
 	Skipped int `json:"skipped,omitempty"`
-}
-
-func newSnapshot(kind ResourceKind, view View) *Snapshot {
-	return &Snapshot{Kind: kind, View: view, Entries: map[string]Entry{}}
-}
-
-func (s *Snapshot) add(e Entry) { s.Entries[e.ID] = e }
-
-// grow preallocates the entry map for n expected entries. Called by
-// scanners that know the result size up front, before the add loop, so
-// the hot path avoids incremental map rehashing.
-func (s *Snapshot) grow(n int) {
-	if len(s.Entries) == 0 && n > 0 {
-		s.Entries = make(map[string]Entry, n)
-	}
 }
 
 // Len returns the entry count.

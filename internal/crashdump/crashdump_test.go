@@ -131,7 +131,8 @@ func TestOutsideProcessDiffViaDump(t *testing.T) {
 	if err := ghostware.NewBerbew().Install(m); err != nil {
 		t.Fatal(err)
 	}
-	high, err := core.ScanProcsHigh(m, m.SystemCall())
+	tab := core.NewInternTable()
+	high, err := core.ScanProcsHighC(m, m.SystemCall(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestOutsideProcessDiffViaDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := core.ScanProcsFromDump(d.Mem, d.Layout, false)
+	low, err := core.ScanProcsFromDump(d.Mem, d.Layout, false, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := core.Diff(high, low, core.DiffOptions{})
+	report, err := core.DiffColumnar(high, low, core.DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

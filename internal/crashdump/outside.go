@@ -16,7 +16,8 @@ import (
 // inside API scan vs crash-dump traversal (advanced selects the CID
 // walk).
 func OutsideProcessCheck(m *machine.Machine, advanced bool) (*core.Report, error) {
-	high, err := core.ScanProcsHigh(m, m.SystemCall())
+	t := core.NewInternTable()
+	high, err := core.ScanProcsHighC(m, m.SystemCall(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -28,11 +29,11 @@ func OutsideProcessCheck(m *machine.Machine, advanced bool) (*core.Report, error
 	if err != nil {
 		return nil, fmt.Errorf("crashdump: parsing own dump: %w", err)
 	}
-	low, err := core.ScanProcsFromDump(d.Mem, d.Layout, advanced)
+	low, err := core.ScanProcsFromDump(d.Mem, d.Layout, advanced, t)
 	if err != nil {
 		return nil, err
 	}
-	return core.SealedDiff(high, low, core.DiffOptions{})
+	return core.SealedDiffColumnar(high, low, core.DiffOptions{})
 }
 
 // OutsideModuleCheck runs the outside-the-box hidden-module detection:
@@ -42,7 +43,8 @@ func OutsideModuleCheck(m *machine.Machine) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	high, err := core.ScanModsHigh(m, m.SystemCall(), pids)
+	t := core.NewInternTable()
+	high, err := core.ScanModsHighC(m, m.SystemCall(), pids, t)
 	if err != nil {
 		return nil, err
 	}
@@ -58,17 +60,17 @@ func OutsideModuleCheck(m *machine.Machine) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	low := core.NewModuleSnapshot(core.ViewCrashDump)
+	low := core.NewModuleBuilder(t, core.ViewCrashDump)
 	for _, p := range procs {
 		mods, err := d.Modules(p.Addr)
 		if err != nil {
 			continue
 		}
 		for _, mod := range mods {
-			core.AddModuleEntry(low, p.Pid, mod.Path, mod.Base)
+			low.Add(p.Pid, mod.Path, mod.Base)
 		}
 	}
-	return core.SealedDiff(high, low, core.DiffOptions{})
+	return core.SealedDiffColumnar(high, low.Build(), core.DiffOptions{})
 }
 
 // DumpSummary renders a short description of a dump's contents for

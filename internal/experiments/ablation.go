@@ -31,7 +31,8 @@ func RaceWindow() (*Table, error) {
 				return nil, err
 			}
 			call := m.SystemCall()
-			var high, low *core.Snapshot
+			tab := core.NewInternTable()
+			var high, low *core.ColumnarSnapshot
 			burst := func() error {
 				if !active {
 					return nil
@@ -45,27 +46,27 @@ func RaceWindow() (*Table, error) {
 				return nil
 			}
 			if ord.highFirst {
-				if high, err = core.ScanFilesHigh(m, call); err != nil {
+				if high, err = core.ScanFilesHighC(m, call, tab); err != nil {
 					return nil, err
 				}
 				if err := burst(); err != nil {
 					return nil, err
 				}
-				if low, err = core.ScanFilesLow(m); err != nil {
+				if low, err = core.ScanFilesLowC(m, m.Clock, 1, tab); err != nil {
 					return nil, err
 				}
 			} else {
-				if low, err = core.ScanFilesLow(m); err != nil {
+				if low, err = core.ScanFilesLowC(m, m.Clock, 1, tab); err != nil {
 					return nil, err
 				}
 				if err := burst(); err != nil {
 					return nil, err
 				}
-				if high, err = core.ScanFilesHigh(m, call); err != nil {
+				if high, err = core.ScanFilesHighC(m, call, tab); err != nil {
 					return nil, err
 				}
 			}
-			r, err := core.Diff(high, low, core.DiffOptions{})
+			r, err := core.DiffColumnar(high, low, core.DiffOptions{})
 			if err != nil {
 				return nil, err
 			}

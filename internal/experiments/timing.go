@@ -22,21 +22,22 @@ func ScanTimes() (*Table, error) {
 			return nil, fmt.Errorf("building %s: %w", p.Name, err)
 		}
 		call := m.SystemCall()
-		high, err := core.ScanFilesHigh(m, call)
+		tab := core.NewInternTable()
+		high, err := core.ScanFilesHighC(m, call, tab)
 		if err != nil {
 			return nil, err
 		}
-		low, err := core.ScanFilesLow(m)
+		low, err := core.ScanFilesLowC(m, m.Clock, 1, tab)
 		if err != nil {
 			return nil, err
 		}
 		fileScan := (high.Elapsed + low.Elapsed).Seconds()
 
-		aHigh, err := core.ScanASEPHigh(m, call)
+		aHigh, err := core.ScanASEPHighC(m, call, tab)
 		if err != nil {
 			return nil, err
 		}
-		aLow, err := core.ScanASEPLow(m)
+		aLow, err := core.ScanASEPLowC(m, m.Clock, tab)
 		if err != nil {
 			return nil, err
 		}

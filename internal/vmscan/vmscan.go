@@ -18,7 +18,9 @@ import (
 
 // GuestResult carries the artifacts captured from a powered-down guest.
 type GuestResult struct {
-	InsideHigh *core.Snapshot
+	// InsideHigh is the guest's file scan; the host scan interns into
+	// its table so the two views diff directly.
+	InsideHigh *core.ColumnarSnapshot
 	DiskImage  []byte
 	HiveImages map[string][]byte
 }
@@ -28,7 +30,7 @@ type GuestResult struct {
 // the VM process), releasing the virtual disk in exactly the scanned
 // state.
 func PowerDownAndCapture(guest *machine.Machine) (*GuestResult, error) {
-	inside, err := core.ScanFilesHigh(guest, guest.SystemCall())
+	inside, err := core.ScanFilesHighC(guest, guest.SystemCall(), core.NewInternTable())
 	if err != nil {
 		return nil, fmt.Errorf("vmscan: guest scan: %w", err)
 	}
@@ -50,7 +52,7 @@ func PowerDownAndCapture(guest *machine.Machine) (*GuestResult, error) {
 // utility that allows a virtual drive to appear as a normal drive") and
 // diffs the host's clean scan against the guest's infected scan.
 func HostFileCheck(guest *machine.Machine, res *GuestResult, opts core.DiffOptions) (*core.Report, error) {
-	outside, err := core.ScanFilesImage(res.DiskImage, core.ViewVMHost, guest.Clock, guest.Profile)
+	outside, err := core.ScanFilesImage(res.DiskImage, core.ViewVMHost, guest.Clock, guest.Profile, res.InsideHigh.Table())
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +61,7 @@ func HostFileCheck(guest *machine.Machine, res *GuestResult, opts core.DiffOptio
 		// filters (benign ADS markers) apply.
 		opts.NoiseFilters = core.BaselineNoiseFilters()
 	}
-	return core.Diff(res.InsideHigh, outside, opts)
+	return core.SealedDiffColumnar(res.InsideHigh, outside, opts)
 }
 
 // Check runs the full VM flow: guest scan, power down, host scan, diff.

@@ -75,6 +75,22 @@ func TestVMCheckFindsHackerDefender(t *testing.T) {
 	}
 }
 
+// TestVMCheckReportIsSealed: like every other emission path, the VM
+// flow seals its report, so the tamper-evidence check holds for it too.
+func TestVMCheckReportIsSealed(t *testing.T) {
+	guest := guestMachine(t)
+	if err := ghostware.NewHackerDefender().Install(guest); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Check(guest, core.DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.VerifyDigest(); err != nil {
+		t.Fatalf("VM report does not verify: %v", err)
+	}
+}
+
 // TestCaptureTakesInsideViewFirst: the captured disk image reflects the
 // exact scan moment — files created after capture don't appear.
 func TestCaptureTakesInsideViewFirst(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ghostbuster/internal/core"
 	"ghostbuster/internal/machine"
 )
 
@@ -28,7 +29,7 @@ func TestScanFilesTruncatedImage(t *testing.T) {
 	full := s.diskImage
 	for _, n := range []int{0, 1, 7, len(full) / 3, len(full) - 1} {
 		s.diskImage = full[:n]
-		if _, err := s.ScanFiles(); err == nil {
+		if _, err := s.ScanFiles(core.NewInternTable()); err == nil {
 			t.Errorf("ScanFiles accepted a %d-byte image (full is %d)", n, len(full))
 		}
 	}
@@ -42,7 +43,7 @@ func TestScanASEPsTruncatedHive(t *testing.T) {
 			t.Fatalf("hive %s image is degenerate: %d bytes", root, len(img))
 		}
 		s.hiveImages[root] = img[:len(img)/2]
-		if _, err := s.ScanASEPs(); err == nil {
+		if _, err := s.ScanASEPs(core.NewInternTable()); err == nil {
 			t.Errorf("ScanASEPs accepted a truncated %s hive", root)
 		}
 		s.hiveImages[root] = img
@@ -55,11 +56,11 @@ func TestScanASEPsTruncatedHive(t *testing.T) {
 func TestScanASEPsNoHives(t *testing.T) {
 	s := bootedSession(t)
 	s.hiveImages = map[string][]byte{}
-	snap, err := s.ScanASEPs()
+	snap, err := s.ScanASEPs(core.NewInternTable())
 	if err != nil {
 		t.Fatalf("empty hive set: %v", err)
 	}
-	if snap == nil || len(snap.Entries) != 0 {
+	if snap == nil || snap.Len() != 0 {
 		t.Errorf("empty hive set produced entries: %+v", snap)
 	}
 }
@@ -82,7 +83,7 @@ func TestScanFilesSurvivesRandomCorruption(t *testing.T) {
 					t.Fatalf("trial %d: ScanFiles panicked: %v", trial, r)
 				}
 			}()
-			_, _ = s.ScanFiles()
+			_, _ = s.ScanFiles(core.NewInternTable())
 		}()
 	}
 }

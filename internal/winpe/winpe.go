@@ -54,15 +54,17 @@ func BootCD(m *machine.Machine) (*Session, error) {
 	return s, nil
 }
 
-// ScanFiles performs the clean outside file scan over the captured disk.
-func (s *Session) ScanFiles() (*core.Snapshot, error) {
-	return core.ScanFilesImage(s.diskImage, core.ViewWinPE, s.m.Clock, s.m.Profile)
+// ScanFiles performs the clean outside file scan over the captured
+// disk, interning into t (the table of the inside scan it is diffed
+// against).
+func (s *Session) ScanFiles(t *core.InternTable) (*core.ColumnarSnapshot, error) {
+	return core.ScanFilesImage(s.diskImage, core.ViewWinPE, s.m.Clock, s.m.Profile, t)
 }
 
 // ScanASEPs mounts the captured hive files under the WinPE OS and
-// collects ASEP hooks from the truth.
-func (s *Session) ScanASEPs() (*core.Snapshot, error) {
-	return core.ScanASEPImages(s.hiveImages, core.ViewWinPE, s.m.Clock, s.m.Profile)
+// collects ASEP hooks from the truth, interning into t.
+func (s *Session) ScanASEPs(t *core.InternTable) (*core.ColumnarSnapshot, error) {
+	return core.ScanASEPImages(s.hiveImages, core.ViewWinPE, s.m.Clock, s.m.Profile, t)
 }
 
 // Exit reboots the suspect machine back into its own OS (ASEP hooks
@@ -84,7 +86,8 @@ func (s *Session) Exit() error {
 // detection: inside high-level scan, WinPE boot, outside scan, diff
 // (with the standard noise filters), reboot back.
 func OutsideFileCheck(m *machine.Machine, opts core.DiffOptions) (*core.Report, error) {
-	inside, err := core.ScanFilesHigh(m, m.SystemCall())
+	t := core.NewInternTable()
+	inside, err := core.ScanFilesHighC(m, m.SystemCall(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +96,14 @@ func OutsideFileCheck(m *machine.Machine, opts core.DiffOptions) (*core.Report, 
 		return nil, err
 	}
 	defer func() { _ = s.Exit() }()
-	outside, err := s.ScanFiles()
+	outside, err := s.ScanFiles(t)
 	if err != nil {
 		return nil, err
 	}
 	if opts.NoiseFilters == nil {
 		opts.NoiseFilters = core.StandardNoiseFilters()
 	}
-	report, err := core.SealedDiff(inside, outside, opts)
+	report, err := core.SealedDiffColumnar(inside, outside, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +116,8 @@ func OutsideFileCheck(m *machine.Machine, opts core.DiffOptions) (*core.Report, 
 // OutsideASEPCheck runs the complete outside-the-box hidden-ASEP
 // detection.
 func OutsideASEPCheck(m *machine.Machine, opts core.DiffOptions) (*core.Report, error) {
-	inside, err := core.ScanASEPHigh(m, m.SystemCall())
+	t := core.NewInternTable()
+	inside, err := core.ScanASEPHighC(m, m.SystemCall(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -122,11 +126,11 @@ func OutsideASEPCheck(m *machine.Machine, opts core.DiffOptions) (*core.Report, 
 		return nil, err
 	}
 	defer func() { _ = s.Exit() }()
-	outside, err := s.ScanASEPs()
+	outside, err := s.ScanASEPs(t)
 	if err != nil {
 		return nil, err
 	}
-	report, err := core.SealedDiff(inside, outside, opts)
+	report, err := core.SealedDiffColumnar(inside, outside, opts)
 	if err != nil {
 		return nil, err
 	}

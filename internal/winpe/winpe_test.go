@@ -180,12 +180,12 @@ func TestGhostwareDoesNotRunUnderWinPE(t *testing.T) {
 	if got := len(m.API.Hooks()); got != 0 {
 		t.Errorf("%d hooks alive under WinPE", got)
 	}
-	snap, err := s.ScanFiles()
+	snap, err := s.ScanFiles(core.NewInternTable())
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for id := range snap.Entries {
+	for id := range snap.Snapshot().Entries {
 		if strings.Contains(id, "HXDEF100.EXE") {
 			found = true
 		}
