@@ -1,14 +1,18 @@
 #!/bin/sh
 # Full local gate: vet, build, and the whole test suite under the race
-# detector (the fleet scheduler is the main concurrency surface), plus
-# the chaos suite, a coverage floor on the core detection packages, and
-# the deterministic ghostfuzz matrix smokes.
+# detector (the fleet scheduler is the main concurrency surface), a
+# guard that every named race matrix still exists, the alloc gate, a
+# coverage floor on the core detection packages, the perf gate, and the
+# deterministic ghostfuzz matrix smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
 # matrix FLAGS PATTERN PKG runs `go test FLAGS -run PATTERN PKG` after
 # checking that every alternative of PATTERN selects a test (see
-# scripts/matrix.sh, which CI runs too).
+# scripts/matrix.sh, which CI runs too). The -race matrices below name
+# tests that `go test -race ./...` has already run, so they only check
+# that every named test still exists: deleting or renaming one fails
+# the gate, and nothing runs twice.
 matrix() { sh scripts/matrix.sh "$@"; }
 
 echo "==> gofmt -l ."
@@ -28,34 +32,34 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> chaos suite under -race (fault-injection property tests)"
-matrix '-race' 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
+echo "==> chaos suite (fault-injection property tests): names still select tests"
+matrix -list 'TestChaos|TestEmptyFaultPlanByteIdentity' ./internal/ghostfuzz/
 
-echo "==> fleet topology matrix under -race (plain and sharded sweeps; kill at sched/mid/last, torn tail, bit flip; shard loss; wedge, hedge, jitter)"
-matrix '-race' 'TestFleetFuzz|TestFleetMatrix|TestSupervisionChaos|TestFleetBreakerJSONDeterministic' ./internal/ghostfuzz/
+echo "==> fleet topology matrix (plain and sharded sweeps; kill at sched/mid/last, torn tail, bit flip; shard loss; wedge, hedge, jitter): names still select tests"
+matrix -list 'TestFleetFuzz|TestFleetMatrix|TestSupervisionChaos|TestFleetBreakerJSONDeterministic' ./internal/ghostfuzz/
 
-echo "==> crash-resume unit matrix under -race"
-matrix '-race' 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
-matrix '-race' 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
+echo "==> crash-resume unit matrix: names still select tests"
+matrix -list 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
+matrix -list 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
 
-echo "==> sharded control-plane matrix under -race (shard loss, topology independence, bounded residency)"
-matrix '-race' 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardBreakerQuarantines|TestShardErrorBudgetAborts' ./internal/fleetshard/
+echo "==> sharded control-plane matrix (shard loss, topology independence, bounded residency): names still select tests"
+matrix -list 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardBreakerQuarantines|TestShardErrorBudgetAborts' ./internal/fleetshard/
 
-echo "==> daemon smoke under -race (boot, API sweep, graceful drain; locked-profile API rejections)"
-matrix '-race' 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
-matrix '-race' 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
+echo "==> daemon smoke (boot, API sweep, graceful drain; locked-profile API rejections): names still select tests"
+matrix -list 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
+matrix -list 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
 
-echo "==> supervision unit matrix under -race (wedge failover, hedged stragglers, jittered retries, cancel-seal; the ghostfuzz rows run in the fleet topology matrix)"
-matrix '-race' 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
-matrix '-race' 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties|TestSweepDigestsGolden' ./internal/fleet/
-matrix '-race' 'TestRetryPolicy|TestWatchdog' ./internal/supervise/
+echo "==> supervision unit matrix (wedge failover, hedged stragglers, jittered retries, cancel-seal; the ghostfuzz rows run in the fleet topology matrix): names still select tests"
+matrix -list 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
+matrix -list 'TestHedged|TestCancelSealsPartialSummaryAndResumes|TestJittered|TestResultCancelledDetectsCasualties|TestSweepDigestsGolden' ./internal/fleet/
+matrix -list 'TestRetryPolicy|TestWatchdog' ./internal/supervise/
 
-echo "==> daemon overload control under -race (admission 429/Retry-After, readyz draining, slow SSE consumers never stall sweeps)"
-matrix '-race' 'TestSweepAdmission|TestReadyzTracksDraining|TestSlowSubscriberDropsWithoutStallingSweeps|TestSubscriberChurnDuringSweeps' ./internal/daemon/
+echo "==> daemon overload control (admission 429/Retry-After, readyz draining, slow SSE consumers never stall sweeps): names still select tests"
+matrix -list 'TestSweepAdmission|TestReadyzTracksDraining|TestSlowSubscriberDropsWithoutStallingSweeps|TestSubscriberChurnDuringSweeps' ./internal/daemon/
 
-echo "==> next-gen family matrix under -race (evasive differential, naive-miss/counter-catch, boot+removable chaos, removable delta scheduling)"
-matrix '-race' 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
-matrix '-race' 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
+echo "==> next-gen family matrix (evasive differential, naive-miss/counter-catch, boot+removable chaos, removable delta scheduling): names still select tests"
+matrix -list 'TestEvasive|TestNextGenNaiveMissCounterCatch|TestChaosBootRemovableLoudNeverSilent' ./internal/ghostfuzz/
+matrix -list 'TestRemovableHotplugTriggersDeltaSweep' ./internal/daemon/
 
 echo "==> alloc gate (nonzero OrderSeed adds nothing per entry to the warm diff path; ReadDir allocs linear in children; Win32 name check alloc-free)"
 matrix '' 'TestScanOrderAllocs|TestOrderedWarmSweepAllocs' ./internal/core/

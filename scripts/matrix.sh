@@ -4,9 +4,12 @@
 # at least one test in PKG: go test prints ok for a pattern that matches
 # nothing, so a renamed test would otherwise drop out of a gate
 # silently. scripts/check.sh and the CI workflow both run their test
-# matrices through it.
+# matrices through it. FLAGS -list only checks that every alternative
+# selects a test, for matrices an earlier `go test -race ./...` in the
+# same gate already ran.
 #
 #   sh scripts/matrix.sh '-race -v' 'TestFleetMatrix|TestChaos' ./internal/ghostfuzz/
+#   sh scripts/matrix.sh -list 'TestRunSmoke' ./cmd/ghostbusterd/
 set -eu
 flags=$1 pattern=$2 pkg=$3
 old_ifs=$IFS
@@ -18,4 +21,7 @@ for alt in $pattern; do
 	fi
 done
 IFS=$old_ifs
+if [ "$flags" = -list ]; then
+	exit 0
+fi
 go test $flags -run "$pattern" "$pkg"
