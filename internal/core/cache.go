@@ -42,8 +42,7 @@ const (
 // caught even when the disk bytes are unchanged.
 //
 // A ScanCache is owned by a single machine and is safe for concurrent
-// use: a parallel sweep's file and ASEP lanes each take their own lock,
-// so the two truth sources never serialize against each other. The
+// use: each truth source is one memo slot with its own lock. The
 // generation key is always read before the parse, so a mutation racing
 // a miss can only make the cached copy stale-keyed (forcing a reparse
 // next sweep), never mask a change.
@@ -58,24 +57,25 @@ type ScanCache struct {
 	m      *machine.Machine
 	intern *InternTable
 
-	filesMu  sync.Mutex
-	files    *ColumnarSnapshot
-	filesGen uint64
-
-	asepsMu  sync.Mutex
-	aseps    *ColumnarSnapshot
-	asepsKey string
-
-	remMu  sync.Mutex
-	rem    *ColumnarSnapshot
-	remKey string
+	files memo[uint64] // raw MFT, keyed on the volume generation
+	aseps memo[string] // raw hives, keyed on regCacheKey
+	rem   memo[string] // removable stick, keyed on Machine.RemovableKey
 
 	hits, misses atomic.Int64
 }
 
 // NewScanCache returns an empty cache bound to m.
 func NewScanCache(m *machine.Machine) *ScanCache {
-	return &ScanCache{m: m, intern: NewInternTable()}
+	return &ScanCache{
+		m:      m,
+		intern: NewInternTable(),
+		files:  memo[uint64]{keyOf: func(m *machine.Machine) uint64 { return m.Disk.Generation() }, verify: verifyDisk},
+		aseps:  memo[string]{keyOf: regCacheKey, verify: verifyHives},
+		// Attaching, detaching, or writing the stick all move its key, so
+		// a cached parse of the previous stick never stands in for the
+		// current one.
+		rem: memo[string]{keyOf: (*machine.Machine).RemovableKey, verify: verifyDisk},
+	}
 }
 
 // table returns the cache's interning table; detectors with a cache
@@ -97,57 +97,9 @@ func (c *ScanCache) Stats() CacheStats {
 // keep their symbols, which is what makes the post-invalidation reparse
 // cheap.
 func (c *ScanCache) Invalidate() {
-	c.filesMu.Lock()
-	c.files = nil
-	c.filesMu.Unlock()
-	c.asepsMu.Lock()
-	c.aseps = nil
-	c.asepsMu.Unlock()
-	c.remMu.Lock()
-	c.rem = nil
-	c.remMu.Unlock()
-}
-
-// hitColumnar stamps a cached snapshot for the current virtual time. The
-// columns are shared with the cached copy — snapshots are never mutated
-// after Build, only diffed.
-func hitColumnar(cached *ColumnarSnapshot, clock *vtime.Clock, elapsed time.Duration) *ColumnarSnapshot {
-	snap := *cached
-	snap.Taken = clock.Now()
-	snap.Elapsed = elapsed
-	return &snap
-}
-
-// scanFilesLowOn is the cached low-level file scan: it returns the
-// memoized raw-MFT snapshot when the volume generation is unchanged,
-// charging clk only the verify pass.
-func (c *ScanCache) scanFilesLowOn(clk *vtime.Clock, workers int) (*ColumnarSnapshot, error) {
-	c.filesMu.Lock()
-	defer c.filesMu.Unlock()
-	gen := c.m.Disk.Generation()
-	if c.files != nil && c.filesGen == gen {
-		c.hits.Add(1)
-		sw := vtime.NewStopwatch(clk)
-		clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(c.m.Profile))
-		clk.ChargeOps(1, costCacheVerifyDisk)
-		return hitColumnar(c.files, clk, sw.Elapsed()), nil
-	}
-	c.misses.Add(1)
-	epoch := c.faultEpoch()
-	snap, err := ScanFilesLowC(c.m, clk, workers, c.intern)
-	if err != nil {
-		return nil, err
-	}
-	if c.faultEpoch() != epoch {
-		// A fault fired during the parse: the snapshot may describe
-		// damaged bytes. Serve it to this sweep (the report carries the
-		// degradation) but never memoize it — a warm cache must not
-		// replay a poisoned parse after the fault clears.
-		return snap, nil
-	}
-	c.files = snap
-	c.filesGen = gen
-	return snap, nil
+	c.files.reset()
+	c.aseps.reset()
+	c.rem.reset()
 }
 
 // faultEpoch samples the machine's fault-injection epoch (zero when no
@@ -159,64 +111,68 @@ func (c *ScanCache) faultEpoch() uint64 {
 	return 0
 }
 
-// scanASEPLowOn is the cached low-level ASEP scan, keyed on the
-// Registry mount table and every mounted hive's generation.
-func (c *ScanCache) scanASEPLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-	c.asepsMu.Lock()
-	defer c.asepsMu.Unlock()
-	key := regCacheKey(c.m)
-	if c.aseps != nil && c.asepsKey == key {
+// memo is one memoized truth-side parse, keyed on the mutation
+// generation(s) of the source it parses. Each slot takes its own lock,
+// so a parallel sweep's truth sources never serialize against each
+// other.
+type memo[K comparable] struct {
+	keyOf  func(*machine.Machine) K
+	verify func(*machine.Machine, *vtime.Clock) // a hit's virtual cost
+
+	mu   sync.Mutex
+	snap *ColumnarSnapshot
+	key  K
+}
+
+// scan returns the memoized snapshot when the source's key is unchanged,
+// charging clk only the verify pass, and runs parse otherwise. The hit
+// shares the cached columns, stamped for the current virtual time —
+// snapshots are never mutated after Build, only diffed.
+func (mo *memo[K]) scan(c *ScanCache, clk *vtime.Clock, parse func() (*ColumnarSnapshot, error)) (*ColumnarSnapshot, error) {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	key := mo.keyOf(c.m)
+	if mo.snap != nil && mo.key == key {
 		c.hits.Add(1)
 		sw := vtime.NewStopwatch(clk)
-		clk.ChargeOps(int64(len(c.m.Reg.Roots())), costCacheVerifyHive)
-		return hitColumnar(c.aseps, clk, sw.Elapsed()), nil
+		mo.verify(c.m, clk)
+		snap := *mo.snap
+		snap.Taken = clk.Now()
+		snap.Elapsed = sw.Elapsed()
+		return &snap, nil
 	}
 	c.misses.Add(1)
 	epoch := c.faultEpoch()
-	snap, err := ScanASEPLowC(c.m, clk, c.intern)
+	snap, err := parse()
 	if err != nil {
 		return nil, err
 	}
-	if c.faultEpoch() != epoch {
-		// See scanFilesLowOn: a parse that raced a fired fault is served
-		// once but never memoized.
-		return snap, nil
+	// A parse that raced a fired fault may describe damaged bytes: serve
+	// it to this sweep (the report carries the degradation) but never
+	// memoize it — a warm cache must not replay a poisoned parse after
+	// the fault clears.
+	if c.faultEpoch() == epoch {
+		mo.snap, mo.key = snap, key
 	}
-	c.aseps = snap
-	c.asepsKey = key
 	return snap, nil
 }
 
-// scanRemovableLowOn is the cached removable truth scan, keyed on the
-// machine's removable key (hot-plug event count + volume generation).
-// Attaching, detaching, or writing the stick all move the key, so a
-// cached parse of the previous stick can never stand in for the current
-// one.
-func (c *ScanCache) scanRemovableLowOn(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-	c.remMu.Lock()
-	defer c.remMu.Unlock()
-	key := c.m.RemovableKey()
-	if c.rem != nil && c.remKey == key {
-		c.hits.Add(1)
-		sw := vtime.NewStopwatch(clk)
-		clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(c.m.Profile))
-		clk.ChargeOps(1, costCacheVerifyDisk)
-		return hitColumnar(c.rem, clk, sw.Elapsed()), nil
-	}
-	c.misses.Add(1)
-	epoch := c.faultEpoch()
-	snap, err := scanRemovableLowC(c.m, clk, c.intern)
-	if err != nil {
-		return nil, err
-	}
-	if c.faultEpoch() != epoch {
-		// See scanFilesLowOn: a parse that raced a fired fault is served
-		// once but never memoized.
-		return snap, nil
-	}
-	c.rem = snap
-	c.remKey = key
-	return snap, nil
+func (mo *memo[K]) reset() {
+	mo.mu.Lock()
+	mo.snap = nil
+	mo.mu.Unlock()
+}
+
+// verifyDisk charges a hit on a disk-backed source: a boot-sector reread
+// plus the generation compare.
+func verifyDisk(m *machine.Machine, clk *vtime.Clock) {
+	clk.ChargeBytes(ntfs.BytesPerSector, diskBytesPerSecond(m.Profile))
+	clk.ChargeOps(1, costCacheVerifyDisk)
+}
+
+// verifyHives charges a Registry hit: one header reread per mounted hive.
+func verifyHives(m *machine.Machine, clk *vtime.Clock) {
+	clk.ChargeOps(int64(len(m.Reg.Roots())), costCacheVerifyHive)
 }
 
 // GenerationKey folds a machine's byte-level substrate generations into

@@ -10,14 +10,18 @@ import (
 )
 
 // cachedFilesLow and cachedASEPLow run the cache's truth scans on the
-// machine clock and return the map form, which the assertions below
-// index by ID.
+// machine clock, as a one-lane sweep of a detector holding c does, and
+// return the map form, which the assertions below index by ID.
 func cachedFilesLow(c *ScanCache) (*Snapshot, error) {
-	return mapForm(c.scanFilesLowOn(c.m.Clock, 1))
+	return mapForm(cachedSweep(c).filesLow(c.m.Clock))
 }
 
 func cachedASEPLow(c *ScanCache) (*Snapshot, error) {
-	return mapForm(c.scanASEPLowOn(c.m.Clock))
+	return mapForm(cachedSweep(c).asepsLow(c.m.Clock))
+}
+
+func cachedSweep(c *ScanCache) *sweep {
+	return &sweep{d: &Detector{M: c.m, Cache: c}, t: c.table(), lanes: 1}
 }
 
 func TestScanCacheFilesHitOnUnchangedDisk(t *testing.T) {

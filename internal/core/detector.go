@@ -31,11 +31,13 @@ type Detector struct {
 	// hookable API chain every sweep. Must be a cache built on M.
 	Cache *ScanCache
 	// Parallelism bounds how many scan units of one ScanAll sweep run
-	// concurrently. A sweep has eight units (the high/low pair of each of
-	// the four resource detections); values above eight are clamped.
-	// Zero or one keeps the sequential path. Reports are byte-identical
-	// either way: units are statically assigned to virtual-time lanes, so
-	// per-scan charges never depend on goroutine interleaving.
+	// concurrently. A sweep has two units (the high and low scan) per
+	// enabled pair: eight for the paper's four, up to fourteen with every
+	// next-generation pair. Larger values are clamped to the sweep's unit
+	// count. Zero or one runs the units inline on the machine clock.
+	// Reports are byte-identical either way: units are statically
+	// assigned to virtual-time lanes, so per-scan charges never depend on
+	// goroutine interleaving.
 	Parallelism int
 	// Contain turns on per-scan-unit error containment: a unit that
 	// fails (or panics) no longer aborts ScanAll; its resource pair's
@@ -107,190 +109,299 @@ func (d *Detector) table() *InternTable {
 	return d.intern
 }
 
-func (d *Detector) lowFilesC(clk *vtime.Clock, workers int, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanFilesLowOn(clk, workers)
-	}
-	return ScanFilesLowC(d.M, clk, workers, t)
-}
-
-func (d *Detector) lowASEPsC(clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanASEPLowOn(clk)
-	}
-	return ScanASEPLowC(d.M, clk, t)
-}
-
-func (d *Detector) call() (*winapi.Call, error) {
-	name := d.AsProcess
-	if name == "" {
-		return d.M.SystemCall(), nil
-	}
-	return d.M.CallAs(name)
-}
-
-// callOn builds a fresh call whose API traffic charges the given lane
-// clock instead of the machine clock.
-func (d *Detector) callOn(clk *vtime.Clock) (*winapi.Call, error) {
-	call, err := d.call()
-	if err != nil {
+// callOn builds a fresh call under the detector's identity whose API
+// traffic charges clk.
+func (d *Detector) callOn(clk *vtime.Clock) (call *winapi.Call, err error) {
+	if d.AsProcess == "" {
+		call = d.M.SystemCall()
+	} else if call, err = d.M.CallAs(d.AsProcess); err != nil {
 		return nil, err
 	}
-	laned := *call
-	laned.Clock = clk
-	return &laned, nil
+	call.Clock = clk
+	return call, nil
 }
 
 // ScanFiles runs the inside-the-box hidden-file detection (§2).
-func (d *Detector) ScanFiles() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := ScanFilesHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := d.lowFilesC(d.M.Clock, 1, t)
-	if err != nil {
-		return nil, err
-	}
-	return SealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanFiles() (*Report, error) { return d.scanPair(&pairTable[0]) }
 
 // ScanASEPs runs the inside-the-box hidden-Registry detection (§3).
-func (d *Detector) ScanASEPs() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := ScanASEPHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := d.lowASEPsC(d.M.Clock, t)
-	if err != nil {
-		return nil, err
-	}
-	return SealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanASEPs() (*Report, error) { return d.scanPair(&pairTable[1]) }
 
 // ScanProcesses runs the inside-the-box hidden-process detection (§4).
-func (d *Detector) ScanProcesses() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := ScanProcsHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanProcsLowC(d.M, d.Advanced, d.M.Clock, t)
-	if err != nil {
-		return nil, err
-	}
-	return SealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanProcesses() (*Report, error) { return d.scanPair(&pairTable[2]) }
 
 // ScanModules runs the inside-the-box hidden-module detection (§4). The
 // pid set comes from the kernel truth so hidden processes' modules are
 // covered.
-func (d *Detector) ScanModules() (*Report, error) {
-	call, err := d.call()
+func (d *Detector) ScanModules() (*Report, error) { return d.scanPair(&pairTable[3]) }
+
+// scanPair runs one pair's high unit, then its low unit, on the machine
+// clock and diffs them. This is the per-resource methods' contract:
+// errors come back unwrapped, and OnReport, Contain and Deadline do not
+// apply.
+func (d *Detector) scanPair(p *pairSpec) (*Report, error) {
+	s := &sweep{d: d, t: d.table(), lanes: 1}
+	high, err := p.high(s, d.M.Clock)
 	if err != nil {
 		return nil, err
 	}
-	pids, err := TruthPids(d.M)
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := ScanModsHighC(d.M, call, pids, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanModsLowC(d.M, pids, d.M.Clock, t)
+	low, err := p.low(s, d.M.Clock)
 	if err != nil {
 		return nil, err
 	}
 	return SealedDiffColumnar(high, low, d.Opts)
 }
 
-// ScanAll runs all four detections and returns the reports in the
-// paper's order: files, ASEP hooks, processes, modules. With
-// Parallelism > 1, the eight scan units fan out across that many
-// goroutines (clamped to eight); see scanAllParallel. Reports are
-// byte-identical for any lane count, and — absent faults, deadlines,
-// and panics — identical whether or not Contain is set.
+// ScanAll runs every enabled pair and returns the reports in the paper's
+// order — files, ASEP hooks, processes, modules — followed by the
+// enabled next-generation pairs. With Parallelism > 1 the units fan out
+// across that many lanes, clamped to the sweep's unit count (twice the
+// number of enabled pairs); see sweep.run. Reports are byte-identical
+// for any lane count, and — absent faults, deadlines, and panics —
+// identical whether or not Contain is set.
 func (d *Detector) ScanAll() ([]*Report, error) {
 	genStart := d.M.Disk.Generation()
-	sweepStart := d.M.Clock.Now()
-	if d.Parallelism > 1 {
-		lanes := d.Parallelism
-		if max := 2 * len(d.pairSpecs()); lanes > max {
-			lanes = max
-		}
-		return d.scanAllParallel(lanes, genStart, sweepStart)
+	s := &sweep{d: d, t: d.table(), start: d.M.Clock.Now()}
+	s.specs = d.pairSpecs(s.specBuf[:0])
+	n := 2 * len(s.specs)
+	s.order = s.orderBuf[:n]
+	scanOrder(s.order, d.OrderSeed)
+	s.lanes = min(max(d.Parallelism, 1), n)
+	if err := s.run(); err != nil {
+		return nil, err
 	}
-	return d.scanAllSequential(genStart, sweepStart)
+	return d.assemble(s.specs, s.snaps[:n], s.errs[:n], genStart)
 }
 
-// numScanUnits is the number of always-on scan units in one sweep: the
-// high and low scan of each of the paper's four resource detections.
-// Detector.Units can enable up to three more pairs.
-const numScanUnits = 8
+// scanUnit runs one side of a resource pair, charging clk.
+type scanUnit func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error)
 
-// maxScanUnits bounds one sweep's unit count: the paper eight plus the
-// three next-generation pairs. Execution-order permutations live in a
-// fixed-size array of this bound, so randomized ordering allocates
-// nothing.
-const maxScanUnits = numScanUnits + 6
-
-// pairSpec describes one resource pair of a sweep: unit 2i is pair i's
-// high scan, unit 2i+1 its low scan.
+// pairSpec is one resource pair: its report identity and the
+// constructors of its high (API) and low (truth) scan units. In a sweep,
+// unit 2i is pair i's high scan and unit 2i+1 its low scan.
 type pairSpec struct {
 	name     string
+	unit     UnitSet // zero for the paper's always-on pairs
 	kind     ResourceKind
 	highView View
 	lowView  View
+	high     scanUnit
+	low      scanUnit
 }
 
-// pairSpecs lists the sweep's pairs in report order: the paper's four,
-// then the enabled next-generation pairs.
-func (d *Detector) pairSpecs() []pairSpec {
-	procLow := ViewKernelAPL
-	if d.Advanced {
-		procLow = ViewKernelCID
-	}
-	specs := make([]pairSpec, 0, maxScanUnits/2)
-	specs = append(specs,
-		pairSpec{"files", KindFiles, ViewWin32Inside, ViewRawMFT},
-		pairSpec{"ASEPs", KindASEPHooks, ViewWin32Inside, ViewRawHive},
-		pairSpec{"processes", KindProcesses, ViewWin32Inside, procLow},
-		pairSpec{"modules", KindModules, ViewWin32Inside, ViewKernelVAD},
-	)
-	if d.Units.Has(UnitCrossMem) {
-		specs = append(specs, pairSpec{"kmem-carve", KindProcesses, ViewKernelCID, ViewKernelCarve})
-	}
-	if d.Units.Has(UnitBootChain) {
-		specs = append(specs, pairSpec{"boot-chain", KindBootChain, ViewBootAPI, ViewBootRaw})
-	}
-	if d.Units.Has(UnitRemovable) {
-		specs = append(specs, pairSpec{"removable", KindFiles, ViewWin32Inside, ViewRawRemovable})
-	}
-	return specs
+// pairTable holds every pair a sweep can run, in report order: the
+// paper's four (§2 files, §3 ASEPs, §4 processes and modules), then the
+// next-generation pairs of nextgen.go, each enabled by its Detector.Units
+// bit.
+var pairTable = [numPairs]pairSpec{
+	{"files", 0, KindFiles, ViewWin32Inside, ViewRawMFT, apiUnit(ScanFilesHighC), (*sweep).filesLow},
+	{"ASEPs", 0, KindASEPHooks, ViewWin32Inside, ViewRawHive, apiUnit(ScanASEPHighC), (*sweep).asepsLow},
+	{"processes", 0, KindProcesses, ViewWin32Inside, ViewKernelAPL, apiUnit(ScanProcsHighC), (*sweep).procsLow},
+	{"modules", 0, KindModules, ViewWin32Inside, ViewKernelVAD, (*sweep).modsHigh, (*sweep).modsLow},
+	{"kmem-carve", UnitCrossMem, KindProcesses, ViewKernelCID, ViewKernelCarve, rawUnit(scanCrossMemHighC), rawUnit(scanCrossMemLowC)},
+	{"boot-chain", UnitBootChain, KindBootChain, ViewBootAPI, ViewBootRaw, apiUnit(scanBootHighC), rawUnit(scanBootLowC)},
+	{"removable", UnitRemovable, KindFiles, ViewWin32Inside, ViewRawRemovable, apiUnit(scanRemovableHighC), (*sweep).removableLow},
 }
 
-// unitName labels unit u for errors and DegradedUnits entries.
-func unitName(specs []pairSpec, u int) string {
-	side := "high"
+// numPairs is the size of pairTable. maxScanUnits bounds one sweep's
+// unit count: execution-order permutations live in a fixed-size array
+// of this bound, so randomized ordering allocates nothing.
+const (
+	numPairs     = 7
+	maxScanUnits = 2 * numPairs
+)
+
+// pairSpecs appends the sweep's pairs to buf in report order: the
+// paper's four, then the enabled next-generation pairs.
+func (d *Detector) pairSpecs(buf []pairSpec) []pairSpec {
+	for _, p := range pairTable {
+		if p.unit != 0 && !d.Units.Has(p.unit) {
+			continue
+		}
+		if p.lowView == ViewKernelAPL && d.Advanced {
+			p.lowView = ViewKernelCID // the process truth view follows Advanced
+		}
+		buf = append(buf, p)
+	}
+	return buf
+}
+
+// apiUnit adapts a high scan that reads through the hookable API chain:
+// it runs under the detector's identity, its traffic charged to clk.
+func apiUnit(scan func(*machine.Machine, *winapi.Call, *InternTable) (*ColumnarSnapshot, error)) scanUnit {
+	return func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
+		call, err := s.d.callOn(clk)
+		if err != nil {
+			return nil, err
+		}
+		return scan(s.d.M, call, s.t)
+	}
+}
+
+// rawUnit adapts a scan that reads its source directly, charging clk.
+func rawUnit(scan func(*machine.Machine, *vtime.Clock, *InternTable) (*ColumnarSnapshot, error)) scanUnit {
+	return func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) { return scan(s.d.M, clk, s.t) }
+}
+
+// sweep is one run of scan units: what the units share (the intern
+// table, resolved before any forking because Detector.table's lazy init
+// is not concurrency-safe; the lane count; the truth pid list) and, for
+// ScanAll, the execution order and per-unit results.
+type sweep struct {
+	d *Detector
+	t *InternTable
+	// lanes is the sweep's lane count. The raw-MFT unit dominates a cold
+	// sweep, so it also shards its record decode across this bound (the
+	// other lanes' units are small and finish early, freeing cores).
+	lanes int
+
+	pids     []uint64
+	pidsErr  error
+	pidsDone bool
+
+	start    time.Duration
+	specs    []pairSpec
+	order    []int
+	specBuf  [numPairs]pairSpec
+	orderBuf [maxScanUnits]int
+	snaps    [maxScanUnits]*ColumnarSnapshot
+	errs     [maxScanUnits]error
+}
+
+// run executes the sweep's units: the k-th unit of the execution order
+// runs on lane k mod lanes. One lane runs inline on the machine clock.
+// More fork a virtual-time region, run one goroutine per lane charging
+// the lane's clock, and join it, which advances the machine clock by the
+// longest lane — the wall clock a set of concurrent scanners would have
+// cost. The assignment never depends on goroutine scheduling, so every
+// unit's virtual cost and Elapsed are the same at any lane count.
+//
+// Without Contain the sweep fails fast: one lane stops at the first
+// error in execution order, before later units charge any time, and at
+// any lane count the first failed unit in report order is returned.
+func (s *sweep) run() error {
+	d := s.d
+	if s.lanes == 1 {
+		s.lane(d.M.Clock, 0)
+	} else {
+		// Both module units read the truth pid list: read it once before
+		// forking, on the machine clock. One lane reads it lazily instead,
+		// inside the first module unit to run.
+		if _, err := s.truthPids(); err != nil && !d.Contain {
+			return fmt.Errorf("core: modules scan: %w", err)
+		}
+		region := d.M.Clock.Fork(s.lanes)
+		var wg sync.WaitGroup
+		for lane := 0; lane < s.lanes; lane++ {
+			wg.Add(1)
+			go func(lane int) {
+				defer wg.Done()
+				s.lane(region.Lane(lane), lane)
+			}(lane)
+		}
+		wg.Wait()
+		region.Join()
+	}
+	if !d.Contain {
+		for u, err := range s.errs[:len(s.order)] {
+			if err != nil {
+				return fmt.Errorf("core: %s scan: %w", s.specs[u/2].name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// lane runs units order[lane], order[lane+lanes], ... on clk. A unit not
+// yet started when the virtual-time budget is spent or Cancel closes is
+// abandoned with the marker error instead.
+func (s *sweep) lane(clk *vtime.Clock, lane int) {
+	for k := lane; k < len(s.order); k += s.lanes {
+		u := s.order[k]
+		if s.errs[u] = s.d.abandonUnit(clk, s.start); s.errs[u] == nil {
+			s.snaps[u], s.errs[u] = s.runUnit(u, clk)
+		}
+		if s.errs[u] != nil && s.lanes == 1 && !s.d.Contain {
+			return
+		}
+	}
+}
+
+// runUnit executes unit u with panic recovery: a panicking scanner
+// becomes a unit error (degrading the pair under Contain) instead of
+// tearing down the whole sweep.
+func (s *sweep) runUnit(u int, clk *vtime.Clock) (snap *ColumnarSnapshot, err error) {
+	spec := &s.specs[u/2]
+	unit, side := spec.high, "high"
 	if u%2 == 1 {
-		side = "low"
+		unit, side = spec.low, "low"
 	}
-	return specs[u/2].name + "/" + side
+	defer func() {
+		if r := recover(); r != nil {
+			snap, err = nil, fmt.Errorf("core: scan unit %s/%s panicked: %v", spec.name, side, r)
+		}
+	}()
+	return unit(s, clk)
+}
+
+// truthPids returns the pid list of the kernel truth (TruthPids), read
+// once per sweep.
+func (s *sweep) truthPids() ([]uint64, error) {
+	if !s.pidsDone {
+		s.pids, s.pidsErr = TruthPids(s.d.M)
+		s.pidsDone = true
+	}
+	return s.pids, s.pidsErr
+}
+
+// filesLow, asepsLow and removableLow are the truth parses a ScanCache
+// memoizes; with a cache attached they go through its memo slot.
+func (s *sweep) filesLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	parse := func() (*ColumnarSnapshot, error) { return ScanFilesLowC(s.d.M, clk, s.lanes, s.t) }
+	if c := s.d.Cache; c != nil {
+		return c.files.scan(c, clk, parse)
+	}
+	return parse()
+}
+
+func (s *sweep) asepsLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	parse := func() (*ColumnarSnapshot, error) { return ScanASEPLowC(s.d.M, clk, s.t) }
+	if c := s.d.Cache; c != nil {
+		return c.aseps.scan(c, clk, parse)
+	}
+	return parse()
+}
+
+func (s *sweep) removableLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	parse := func() (*ColumnarSnapshot, error) { return scanRemovableLowC(s.d.M, clk, s.t) }
+	if c := s.d.Cache; c != nil {
+		return c.rem.scan(c, clk, parse)
+	}
+	return parse()
+}
+
+func (s *sweep) procsLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	return scanProcsLowC(s.d.M, s.d.Advanced, clk, s.t)
+}
+
+func (s *sweep) modsHigh(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	call, err := s.d.callOn(clk)
+	if err != nil {
+		return nil, err
+	}
+	pids, err := s.truthPids()
+	if err != nil {
+		return nil, err
+	}
+	return ScanModsHighC(s.d.M, call, pids, s.t)
+}
+
+func (s *sweep) modsLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
+	pids, err := s.truthPids()
+	if err != nil {
+		return nil, err
+	}
+	return scanModsLowC(s.d.M, pids, clk, s.t)
 }
 
 // scanOrder fills perm with the unit execution order: identity for seed
@@ -337,108 +448,11 @@ var errDeadline = errors.New("core: scan deadline exceeded")
 // committing a partial verdict.
 var ErrCancelled = errors.New("core: scan cancelled")
 
-// scanUnits builds the eight unit closures in report order, high before
-// low within each pair. Every unit interns into the shared table t
-// (resolved by the caller before any forking — the table itself is
-// concurrency-safe, but the lazy init in d.table is not). pids resolves
-// the truth pid list both module units share: the parallel path
-// precomputes it before forking (on the machine clock, as before), the
-// sequential path computes it lazily so the call/pids charge order of
-// the original ScanModules is preserved.
-func (d *Detector) scanUnits(workers int, t *InternTable, pids func() ([]uint64, error), specs []pairSpec) []func(*vtime.Clock) (*ColumnarSnapshot, error) {
-	highUnit := func(scan func(*machine.Machine, *winapi.Call, *InternTable) (*ColumnarSnapshot, error)) func(*vtime.Clock) (*ColumnarSnapshot, error) {
-		return func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			call, err := d.callOn(clk)
-			if err != nil {
-				return nil, err
-			}
-			return scan(d.M, call, t)
-		}
-	}
-	// The raw-MFT unit dominates a cold sweep, so it additionally shards
-	// its record decode across the lane bound (the other lanes' units are
-	// small and finish early, freeing cores for the decode shards).
-	units := make([]func(*vtime.Clock) (*ColumnarSnapshot, error), 0, 2*len(specs))
-	units = append(units,
-		highUnit(ScanFilesHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowFilesC(clk, workers, t) },
-		highUnit(ScanASEPHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowASEPsC(clk, t) },
-		highUnit(ScanProcsHighC),
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanProcsLowC(d.M, d.Advanced, clk, t) },
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			call, err := d.callOn(clk)
-			if err != nil {
-				return nil, err
-			}
-			p, err := pids()
-			if err != nil {
-				return nil, err
-			}
-			return ScanModsHighC(d.M, call, p, t)
-		},
-		func(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-			p, err := pids()
-			if err != nil {
-				return nil, err
-			}
-			return scanModsLowC(d.M, p, clk, t)
-		},
-	)
-	for _, s := range specs[numScanUnits/2:] {
-		switch s.name {
-		case "kmem-carve":
-			units = append(units,
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanCrossMemHighC(d.M, clk, t) },
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanCrossMemLowC(d.M, clk, t) },
-			)
-		case "boot-chain":
-			units = append(units,
-				highUnit(scanBootHighC),
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return scanBootLowC(d.M, clk, t) },
-			)
-		case "removable":
-			units = append(units,
-				highUnit(scanRemovableHighC),
-				func(clk *vtime.Clock) (*ColumnarSnapshot, error) { return d.lowRemovableC(clk, t) },
-			)
-		}
-	}
-	return units
-}
-
-// lowRemovableC routes the removable truth scan through the cache when
-// one is attached.
-func (d *Detector) lowRemovableC(clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
-	if d.Cache != nil {
-		return d.Cache.scanRemovableLowOn(clk)
-	}
-	return scanRemovableLowC(d.M, clk, t)
-}
-
-// runUnit executes one unit with panic recovery: a panicking scanner
-// becomes a unit error (degrading the pair under Contain) instead of
-// tearing down the whole sweep.
-func runUnit(name string, clk *vtime.Clock, run func(*vtime.Clock) (*ColumnarSnapshot, error)) (snap *ColumnarSnapshot, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			snap, err = nil, fmt.Errorf("core: scan unit %s panicked: %v", name, r)
-		}
-	}()
-	return run(clk)
-}
-
-// overDeadline reports whether the sweep's virtual-time budget is spent
-// on the given clock.
-func (d *Detector) overDeadline(clk *vtime.Clock, sweepStart time.Duration) bool {
-	return d.Deadline > 0 && clk.Now()-sweepStart > d.Deadline
-}
-
 // abandonUnit reports whether the next unit should be abandoned rather
 // than started, and with which marker error: virtual-time budget spent,
 // or external cancellation.
 func (d *Detector) abandonUnit(clk *vtime.Clock, sweepStart time.Duration) error {
-	if d.overDeadline(clk, sweepStart) {
+	if d.Deadline > 0 && clk.Now()-sweepStart > d.Deadline {
 		return errDeadline
 	}
 	if d.Cancel != nil {
@@ -449,95 +463,6 @@ func (d *Detector) abandonUnit(clk *vtime.Clock, sweepStart time.Duration) error
 		}
 	}
 	return nil
-}
-
-// scanAllSequential runs the eight units in order on the machine clock.
-// Without Contain it fails fast — the first unit error aborts the sweep
-// before later units charge any time, exactly as the historical
-// per-resource scan methods did.
-func (d *Detector) scanAllSequential(genStart uint64, sweepStart time.Duration) ([]*Report, error) {
-	var pids []uint64
-	var pidsErr error
-	pidsDone := false
-	pidsOnce := func() ([]uint64, error) {
-		if !pidsDone {
-			pids, pidsErr = TruthPids(d.M)
-			pidsDone = true
-		}
-		return pids, pidsErr
-	}
-	specs := d.pairSpecs()
-	units := d.scanUnits(1, d.table(), pidsOnce, specs)
-	snaps := make([]*ColumnarSnapshot, len(units))
-	errs := make([]error, len(units))
-	var permBuf [maxScanUnits]int
-	perm := permBuf[:len(units)]
-	scanOrder(perm, d.OrderSeed)
-	for _, u := range perm {
-		if abandon := d.abandonUnit(d.M.Clock, sweepStart); abandon != nil {
-			errs[u] = abandon
-		} else {
-			snaps[u], errs[u] = runUnit(unitName(specs, u), d.M.Clock, units[u])
-		}
-		if errs[u] != nil && !d.Contain {
-			return nil, fmt.Errorf("core: %s scan: %w", specs[u/2].name, errs[u])
-		}
-	}
-	return d.assemble(specs, snaps, errs, genStart)
-}
-
-// scanAllParallel is the fan-out sweep. The eight scan units are
-// statically assigned round-robin to `lanes` virtual-time lanes
-// (unit j runs on lane j mod lanes); each lane is one goroutine running
-// its units in order and charging the lane's clock, so every unit's
-// virtual cost and Elapsed are identical to the sequential path — the
-// assignment never depends on goroutine scheduling. Joining the region
-// advances the machine clock by the longest lane, which is exactly the
-// wall-clock a set of concurrent scanners would have cost.
-func (d *Detector) scanAllParallel(lanes int, genStart uint64, sweepStart time.Duration) ([]*Report, error) {
-	// The truth pid list feeds both module units; compute it once before
-	// forking, as the sequential ScanModules does.
-	pids, pidsErr := TruthPids(d.M)
-	if pidsErr != nil && !d.Contain {
-		return nil, fmt.Errorf("core: modules scan: %w", pidsErr)
-	}
-	pidsOnce := func() ([]uint64, error) { return pids, pidsErr }
-	specs := d.pairSpecs()
-	units := d.scanUnits(lanes, d.table(), pidsOnce, specs)
-	var permBuf [maxScanUnits]int
-	perm := permBuf[:len(units)]
-	scanOrder(perm, d.OrderSeed)
-	var (
-		snaps  = make([]*ColumnarSnapshot, len(units))
-		errs   = make([]error, len(units))
-		region = d.M.Clock.Fork(lanes)
-		wg     sync.WaitGroup
-	)
-	for lane := 0; lane < lanes; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			clk := region.Lane(lane)
-			for k := lane; k < len(units); k += lanes {
-				u := perm[k]
-				if abandon := d.abandonUnit(clk, sweepStart); abandon != nil {
-					errs[u] = abandon
-					continue
-				}
-				snaps[u], errs[u] = runUnit(unitName(specs, u), clk, units[u])
-			}
-		}(lane)
-	}
-	wg.Wait()
-	region.Join()
-	if !d.Contain {
-		for u := range units {
-			if errs[u] != nil {
-				return nil, fmt.Errorf("core: %s scan: %w", specs[u/2].name, errs[u])
-			}
-		}
-	}
-	return d.assemble(specs, snaps, errs, genStart)
 }
 
 // assemble diffs the unit snapshots into the per-pair reports. Under

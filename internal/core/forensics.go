@@ -37,8 +37,8 @@ func scanDriversHighC(m *machine.Machine, call *winapi.Call, t *InternTable) (*C
 }
 
 // scanDriversLowC walks the kernel's loaded-module list directly.
-func scanDriversLowC(m *machine.Machine, t *InternTable) (*ColumnarSnapshot, error) {
-	sw := vtime.NewStopwatch(m.Clock)
+func scanDriversLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
+	sw := vtime.NewStopwatch(clk)
 	drvs, err := m.Kern.Drivers()
 	if err != nil {
 		return nil, fmt.Errorf("core: low-level driver scan: %w", err)
@@ -52,31 +52,19 @@ func scanDriversLowC(m *machine.Machine, t *InternTable) (*ColumnarSnapshot, err
 		bld.AddRow(sym, d.Path, t.InternStrBytes(detBuf))
 	}
 	snap := bld.Build()
-	m.Clock.ChargeOps(int64(len(drvs)), costPerModule)
-	snap.Taken = m.Clock.Now()
+	clk.ChargeOps(int64(len(drvs)), costPerModule)
+	snap.Taken = clk.Now()
 	snap.Elapsed = sw.Elapsed()
 	return snap, nil
 }
 
+// driversPair is the driver diff, run on its own outside any sweep.
+var driversPair = pairSpec{"drivers", 0, KindDrivers, ViewWin32Inside, ViewKernelAPL, apiUnit(scanDriversHighC), rawUnit(scanDriversLowC)}
+
 // ScanDrivers diffs the driver views, exposing rootkits that filter the
 // driver-enumeration API (a natural next step for Hacker Defender-style
 // rootkits once AskStrider made the visible driver a liability, §4).
-func (d *Detector) ScanDrivers() (*Report, error) {
-	call, err := d.call()
-	if err != nil {
-		return nil, err
-	}
-	t := d.table()
-	high, err := scanDriversHighC(d.M, call, t)
-	if err != nil {
-		return nil, err
-	}
-	low, err := scanDriversLowC(d.M, t)
-	if err != nil {
-		return nil, err
-	}
-	return SealedDiffColumnar(high, low, d.Opts)
-}
+func (d *Detector) ScanDrivers() (*Report, error) { return d.scanPair(&driversPair) }
 
 // DeletedFile is one stale MFT record recovered forensically.
 type DeletedFile struct {

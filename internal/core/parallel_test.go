@@ -113,6 +113,48 @@ func TestParallelWarmCacheMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPerResourceMatchesScanAll ties the per-resource methods to the
+// sweep: on a fresh machine, each of ScanFiles, ScanASEPs, ScanProcesses
+// and ScanModules must give JSON byte-identical to the matching ScanAll
+// report at one lane and at four. Report carries no timestamp, so this
+// pins Elapsed too.
+func TestPerResourceMatchesScanAll(t *testing.T) {
+	methods := []struct {
+		name string
+		scan func(*Detector) (*Report, error)
+	}{
+		{"files", (*Detector).ScanFiles},
+		{"ASEPs", (*Detector).ScanASEPs},
+		{"processes", (*Detector).ScanProcesses},
+		{"modules", (*Detector).ScanModules},
+	}
+	for _, sc := range scanScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			for _, lanes := range []int{1, 4} {
+				d := NewDetector(scenarioMachine(t, sc.install))
+				d.Advanced = true
+				d.Parallelism = lanes
+				all, err := d.ScanAll()
+				if err != nil {
+					t.Fatalf("ScanAll(lanes=%d): %v", lanes, err)
+				}
+				for i, m := range methods {
+					d := NewDetector(scenarioMachine(t, sc.install))
+					d.Advanced = true
+					r, err := m.scan(d)
+					if err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+					got, want := reportsJSON(t, []*Report{r}), reportsJSON(t, all[i:i+1])
+					if got != want {
+						t.Errorf("%s differs from ScanAll(lanes=%d):\n--- method ---\n%s\n--- ScanAll ---\n%s", m.name, lanes, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestParallelScanAllUnderMutation exercises the concurrent sweep while
 // a ghostware-style mutator commits volume and hive changes (run under
 // -race via scripts/check.sh). After the mutator stops, it plants a
