@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"ghostbuster/internal/journal"
+	"ghostbuster/internal/supervise"
 )
 
 // Mode says what Run does with the plan's journal.
@@ -87,6 +88,7 @@ func (mgr *Manager) Run(ctx context.Context, p Plan) (*SweepSummary, error) {
 		gauge = &ResidentGauge{}
 	}
 	failed := 0
+	budget := supervise.ErrorBudget{Name: "error budget", Unit: "hosts", Fraction: mgr.AbortAfterFailureFraction, Total: total}
 	commit := func(res HostResult) {
 		sum.fold(res)
 		if p.Sink != nil {
@@ -218,13 +220,12 @@ collect:
 		}
 		commit(res)
 		gauge.Dec()
-		if f := mgr.AbortAfterFailureFraction; f > 0 && (res.Err != "" || res.Quarantined) &&
-			!sum.Aborted && float64(failed) > f*float64(total) {
-			sum.Aborted = true
-			sum.AbortReason = fmt.Sprintf("error budget exceeded: %d of %d hosts failed (budget %.0f%%) — aborting sweep",
-				failed, total, f*100)
-			record(journal.Record{State: journal.StateAborted, Reason: sum.AbortReason})
-			halt()
+		if res.Err != "" || res.Quarantined {
+			if reason := budget.Exceeded(failed); reason != "" && !sum.Aborted {
+				sum.Aborted, sum.AbortReason = true, reason
+				record(journal.Record{State: journal.StateAborted, Reason: reason})
+				halt()
+			}
 		}
 	}
 	if runErr != nil {

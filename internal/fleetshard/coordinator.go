@@ -748,7 +748,7 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 	queue := newJobQueue(initial)
 
 	var wg sync.WaitGroup
-	totalShards := len(jobs)
+	budget := supervise.ErrorBudget{Name: "shard error budget", Unit: "shards", Fraction: c.cfg.AbortAfterShardFailureFraction, Total: len(jobs)}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -780,12 +780,8 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 				// not fail over does.
 				if err != nil || quarantined || failoverErr != nil {
 					st.failed++
-					if f := c.cfg.AbortAfterShardFailureFraction; f > 0 &&
-						float64(st.failed) > f*float64(totalShards) && !rep.Aborted {
-						rep.Aborted = true
-						rep.AbortReason = fmt.Sprintf(
-							"shard error budget exceeded: %d of %d shards failed (budget %.0f%%) — aborting sweep",
-							st.failed, totalShards, f*100)
+					if reason := budget.Exceeded(st.failed); reason != "" && !rep.Aborted {
+						rep.Aborted, rep.AbortReason = true, reason
 						queue.stop()
 					}
 				}

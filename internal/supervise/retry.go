@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"fmt"
 	"time"
 
 	"ghostbuster/internal/faultinject"
@@ -133,4 +134,25 @@ func jitter(cur time.Duration, seed int64, tags ...uint64) time.Duration {
 		return cur
 	}
 	return 1 + time.Duration(faultinject.Mix(seed, tags...)%uint64(cur))
+}
+
+// ErrorBudget is the one error-budget rule of the control plane: a
+// fleet sweep aborts once more than Fraction of its hosts have failed,
+// and a sharded run once more than Fraction of its shards have. Zero
+// Fraction disables it.
+type ErrorBudget struct {
+	Name     string // leads the abort reason: "error budget", "shard error budget"
+	Unit     string // what failed, plural: "hosts", "shards"
+	Fraction float64
+	Total    int
+}
+
+// Exceeded returns the abort reason once failed units overspend the
+// budget, and "" while they do not.
+func (b ErrorBudget) Exceeded(failed int) string {
+	if b.Fraction <= 0 || float64(failed) <= b.Fraction*float64(b.Total) {
+		return ""
+	}
+	return fmt.Sprintf("%s exceeded: %d of %d %s failed (budget %.0f%%) — aborting sweep",
+		b.Name, failed, b.Total, b.Unit, b.Fraction*100)
 }
