@@ -86,8 +86,9 @@ type Config struct {
 	// watcher state and diverge digests). Leave nil unless the fleet is
 	// known passive.
 	Hedge *fleet.HedgePolicy
-	// BackoffJitterSeed enables deterministic full jitter on shard/host
-	// retry backoff (0 keeps the legacy doubling schedule).
+	// BackoffJitterSeed enables deterministic full jitter on retry
+	// backoff: host retries in local and sharded sweeps, and shard
+	// retries in sharded ones (0 keeps the legacy doubling schedule).
 	BackoffJitterSeed int64
 	// AdmitQueue bounds how many sweep-triggering API requests may wait
 	// behind the in-flight sweep; requests past the bound are shed with

@@ -253,6 +253,7 @@ func (d *Daemon) shardConfig(id int, prof profile.Profile, info *SweepInfo) flee
 func (d *Daemon) sweepLocal(info *SweepInfo, prof profile.Profile, hosts []dueHost, resume bool) error {
 	mgr := fleet.NewManager()
 	prof.ConfigureManager(mgr)
+	mgr.Retry.JitterSeed = d.cfg.BackoffJitterSeed
 	for _, h := range hosts {
 		mgr.AddWithCache(h.name, h.m, h.cache)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ghostbuster/internal/faultinject"
 	"ghostbuster/internal/supervise"
 )
 
@@ -259,6 +260,45 @@ func TestDaemonForwardsSupervisionKnobs(t *testing.T) {
 	}
 	if cfg.Hedge != nil {
 		t.Errorf("nil hedge policy became %+v", cfg.Hedge)
+	}
+}
+
+// TestLocalSweepJittersHostRetries: without -shards the daemon sweeps on
+// one fleet.Manager, and BackoffJitterSeed must reach its host retries
+// too. A host whose first attempt hits a transient API fault retries
+// once; with the seed set, the wait is a full-jitter sample below the
+// doubling schedule's backoff, so the retry overhead drops.
+func TestLocalSweepJittersHostRetries(t *testing.T) {
+	retryNs := func(seed int64) time.Duration {
+		d := newDaemon(t, Config{Seed: 7, BackoffJitterSeed: seed})
+		m, err := BuildHost(HostSpec{Name: "h", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RegisterMachine("h", m); err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faultinject.New(m, faultinject.Plan{Seed: 1, Faults: []faultinject.Fault{
+			{Source: faultinject.SourceAPI, Kind: faultinject.KindErr, After: 1, Count: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.Arm()
+		if _, err := d.SweepNow(); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		res := d.hosts["h"].last
+		if res == nil || res.Attempts != 2 || res.Degraded != 0 {
+			t.Fatalf("seed %d: host result %+v, want a clean second attempt", seed, res)
+		}
+		return res.RetryNs
+	}
+	doubling, jittered := retryNs(0), retryNs(5)
+	if jittered >= doubling {
+		t.Errorf("jittered retry overhead %v, doubling %v: the jitter seed did not reach the local sweep", jittered, doubling)
 	}
 }
 
