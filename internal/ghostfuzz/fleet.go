@@ -194,7 +194,15 @@ type fleetRun struct {
 	paths     map[string]string
 	ref       *fleet.Report
 	refMerged string
+	// watchdog is the wedge rows' policy, sized from the reference sweep.
+	watchdog supervise.Policy
 }
+
+// watchdogFloor is the shortest beacon interval the wedge rows arm.
+// Healthy host scans take milliseconds of wall time on an idle machine;
+// under a loaded -race run one host can take longer than the whole
+// floor window, so the interval also scales with the reference sweep.
+const watchdogFloor = 150 * time.Millisecond
 
 // judgeFleet sweeps one fleet seed through every selected fleet row.
 // The only I/O is journals under a private temp directory, removed
@@ -220,6 +228,11 @@ func judgeFleet(seed int64, sel *regexp.Regexp, b *Breaker, ran map[string]int) 
 		return []Violation{{InvDurability, mode, err.Error()}}, nil
 	}
 	fr.ref, fr.refMerged = o.rep, mergedDigest(o.sum)
+	// A beacon interval of twice the reference's slowest host commit
+	// (the watch fires after two silent intervals) keeps a healthy but
+	// loaded shard from being declared wedged: a spurious wedge of every
+	// shard leaves no survivor to adopt the hosts.
+	fr.watchdog = supervise.Policy{Deadline: max(watchdogFloor, 2*o.slowestCommit), Misses: 2}
 	out := fr.ledger(mode, o.rep)
 	// A selected row also runs the row it wrecks, which the table lists
 	// earlier.
@@ -255,6 +268,9 @@ type outcome struct {
 	// audit is the row's own deep verification: the committed-once
 	// journal audit, or the coordinator report (and its journals).
 	audit error
+	// slowestCommit is a manager row's longest wall-clock wait for a
+	// host commit, from the sweep's start or the previous commit.
+	slowestCommit time.Duration
 }
 
 // sweep lays out the row's journals — wrecking its source's first, for
@@ -286,11 +302,18 @@ func (fr *fleetRun) sweepManager(row fleetRow, path string) outcome {
 		mode = fleet.ModeResume
 	}
 	col := fleet.NewCollector(mgr)
-	sum, err := mgr.Run(context.Background(), fleet.Plan{Workers: max(row.workers, 1), Journal: path, Mode: mode, Sink: col.Add})
+	var slowest time.Duration
+	last := time.Now()
+	sink := func(res fleet.HostResult) {
+		now := time.Now()
+		slowest, last = max(slowest, now.Sub(last)), now
+		col.Add(res)
+	}
+	sum, err := mgr.Run(context.Background(), fleet.Plan{Workers: max(row.workers, 1), Journal: path, Mode: mode, Sink: sink})
 	if err != nil {
 		return outcome{err: err}
 	}
-	o := outcome{rep: col.Report(sum), sum: sum}
+	o := outcome{rep: col.Report(sum), sum: sum, slowestCommit: slowest}
 	if path != "" {
 		o.audit = auditJournal(path, mgr.Hosts())
 	}
@@ -312,10 +335,7 @@ func (fr *fleetRun) sweepShards(row fleetRow, dir string) outcome {
 		gate := make(chan struct{})
 		src.stall, src.armed = func() { <-gate }, &atomic.Bool{}
 		release = func() { close(gate) } // free the stuck scan; its result is discarded
-		// Deliberately tight: healthy host scans take milliseconds of
-		// wall time, and a spurious wedge of a slow-but-healthy shard
-		// preserves the digests by design.
-		cfg.Watchdog = supervise.Policy{Deadline: 150 * time.Millisecond, Misses: 2}
+		cfg.Watchdog = fr.watchdog
 	case row.straggle > 0:
 		src.stall, src.armed = func() { time.Sleep(row.straggle) }, &atomic.Bool{}
 		cfg.Hedge = &fleet.HedgePolicy{MinSamples: 1, Multiplier: 1, Floor: 30 * time.Millisecond}
