@@ -2,8 +2,9 @@
 # Full local gate: vet, build, and the whole test suite under the race
 # detector (the fleet scheduler is the main concurrency surface), a
 # guard that every named race matrix still exists, the alloc gate, a
-# coverage floor on the core detection packages, the perf gate, and the
-# deterministic ghostfuzz matrix smokes.
+# coverage floor on the core detection packages, vet and tests of the
+# nested bench module, the perf gate, and the deterministic ghostfuzz
+# matrix smokes.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -82,6 +83,9 @@ go test -cover ./internal/core/ ./internal/ntfs/ ./internal/hive/ ./internal/cro
 		}
 		END { exit bad }
 	'
+
+echo "==> bench module (its own go.mod; compiles against core, fleet and daemon APIs)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "==> perf gate (sweepbench vs committed BENCH_sweep.json, deterministic metrics)"
 sh scripts/benchgate.sh
