@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ghostbuster/internal/kernel"
 	"ghostbuster/internal/winapi"
 )
 
@@ -221,6 +223,49 @@ func TestOnReportStreamsPartials(t *testing.T) {
 	for i, k := range want {
 		if kinds[i] != k {
 			t.Errorf("OnReport order[%d] = %s, want %s", i, kinds[i], k)
+		}
+	}
+}
+
+// TestMissingCallerDegradesEveryAPIUnit: a sweep resolves its caller
+// identity once — lazily at one lane, before the fork at more. When
+// AsProcess names no running process, every API unit fails with the
+// same lookup error at either lane count, the truth-side units still
+// run, and without Contain the sweep fails under the files pair.
+func TestMissingCallerDegradesEveryAPIUnit(t *testing.T) {
+	m := mustMachine(t)
+	apiUnits := []string{"files/high", "ASEPs/high", "processes/high", "modules/high", "boot-chain/high", "removable/high"}
+	for _, lanes := range []int{1, 4} {
+		d := NewDetector(m)
+		d.Advanced = true
+		d.AsProcess = "nosuch.exe"
+		d.Parallelism = lanes
+		d.Units = UnitCrossMem | UnitBootChain | UnitRemovable
+		d.Contain = true
+		reports, err := d.ScanAll()
+		if err != nil {
+			t.Fatalf("lanes=%d: contained ScanAll: %v", lanes, err)
+		}
+		var units, faults []string
+		for _, r := range reports {
+			for _, du := range r.DegradedUnits {
+				units = append(units, du.Unit)
+				faults = append(faults, du.Fault)
+			}
+		}
+		if !slices.Equal(units, apiUnits) {
+			t.Fatalf("lanes=%d: degraded units %v, want every API unit %v", lanes, units, apiUnits)
+		}
+		for _, f := range faults {
+			if f != faults[0] || !strings.Contains(f, "nosuch.exe") {
+				t.Fatalf("lanes=%d: API unit faults %q differ or do not name the caller", lanes, faults)
+			}
+		}
+
+		d.Contain = false
+		_, err = d.ScanAll()
+		if err == nil || !strings.HasPrefix(err.Error(), "core: files scan:") || !errors.Is(err, kernel.ErrNoSuchProcess) {
+			t.Errorf("lanes=%d: fail-fast ScanAll error %v, want a files-pair ErrNoSuchProcess", lanes, err)
 		}
 	}
 }

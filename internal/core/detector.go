@@ -109,18 +109,6 @@ func (d *Detector) table() *InternTable {
 	return d.intern
 }
 
-// callOn builds a fresh call under the detector's identity whose API
-// traffic charges clk.
-func (d *Detector) callOn(clk *vtime.Clock) (call *winapi.Call, err error) {
-	if d.AsProcess == "" {
-		call = d.M.SystemCall()
-	} else if call, err = d.M.CallAs(d.AsProcess); err != nil {
-		return nil, err
-	}
-	call.Clock = clk
-	return call, nil
-}
-
 // ScanFiles runs the inside-the-box hidden-file detection (§2).
 func (d *Detector) ScanFiles() (*Report, error) { return d.scanPair(&pairTable[0]) }
 
@@ -230,7 +218,7 @@ func (d *Detector) pairSpecs(buf []pairSpec) []pairSpec {
 // it runs under the detector's identity, its traffic charged to clk.
 func apiUnit(scan func(*machine.Machine, *winapi.Call, *InternTable) (*ColumnarSnapshot, error)) scanUnit {
 	return func(s *sweep, clk *vtime.Clock) (*ColumnarSnapshot, error) {
-		call, err := s.d.callOn(clk)
+		call, err := s.callOn(clk)
 		if err != nil {
 			return nil, err
 		}
@@ -245,8 +233,9 @@ func rawUnit(scan func(*machine.Machine, *vtime.Clock, *InternTable) (*ColumnarS
 
 // sweep is one run of scan units: what the units share (the intern
 // table, resolved before any forking because Detector.table's lazy init
-// is not concurrency-safe; the lane count; the truth pid list) and, for
-// ScanAll, the execution order and per-unit results.
+// is not concurrency-safe; the lane count; the caller identity of the
+// API units; the truth pid list) and, for ScanAll, the execution order
+// and per-unit results.
 type sweep struct {
 	d *Detector
 	t *InternTable
@@ -254,6 +243,10 @@ type sweep struct {
 	// sweep, so it also shards its record decode across this bound (the
 	// other lanes' units are small and finish early, freeing cores).
 	lanes int
+
+	caller     winapi.Proc
+	callerErr  error
+	callerDone bool
 
 	pids     []uint64
 	pidsErr  error
@@ -284,12 +277,15 @@ func (s *sweep) run() error {
 	if s.lanes == 1 {
 		s.lane(d.M.Clock, 0)
 	} else {
-		// Both module units read the truth pid list: read it once before
-		// forking, on the machine clock. One lane reads it lazily instead,
-		// inside the first module unit to run.
+		// Both module units read the truth pid list, and every API unit
+		// the caller identity: resolve both once before forking, on the
+		// machine clock. One lane resolves them lazily instead, inside the
+		// first unit that needs each. A caller error fails the API units
+		// themselves, so it surfaces under the first of them.
 		if _, err := s.truthPids(); err != nil && !d.Contain {
 			return fmt.Errorf("core: modules scan: %w", err)
 		}
+		_ = s.resolveCaller()
 		region := d.M.Clock.Fork(s.lanes)
 		var wg sync.WaitGroup
 		for lane := 0; lane < s.lanes; lane++ {
@@ -344,6 +340,32 @@ func (s *sweep) runUnit(u int, clk *vtime.Clock) (snap *ColumnarSnapshot, err er
 	return unit(s, clk)
 }
 
+// callOn builds a fresh call under the sweep's caller identity whose
+// API traffic charges clk.
+func (s *sweep) callOn(clk *vtime.Clock) (*winapi.Call, error) {
+	if err := s.resolveCaller(); err != nil {
+		return nil, err
+	}
+	return &winapi.Call{Proc: s.caller, Clock: clk}, nil
+}
+
+// resolveCaller looks up the process the API units run as (the
+// detector's AsProcess, default explorer.exe), once per sweep. The
+// lookup reads the unfaulted kernel truth and charges no virtual time.
+func (s *sweep) resolveCaller() error {
+	if !s.callerDone {
+		if s.d.AsProcess == "" {
+			s.caller = s.d.M.SystemCall().Proc
+		} else if call, err := s.d.M.CallAs(s.d.AsProcess); err != nil {
+			s.callerErr = err
+		} else {
+			s.caller = call.Proc
+		}
+		s.callerDone = true
+	}
+	return s.callerErr
+}
+
 // truthPids returns the pid list of the kernel truth (TruthPids), read
 // once per sweep.
 func (s *sweep) truthPids() ([]uint64, error) {
@@ -385,7 +407,7 @@ func (s *sweep) procsLow(clk *vtime.Clock) (*ColumnarSnapshot, error) {
 }
 
 func (s *sweep) modsHigh(clk *vtime.Clock) (*ColumnarSnapshot, error) {
-	call, err := s.d.callOn(clk)
+	call, err := s.callOn(clk)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ghostbuster/internal/kernel"
+	"ghostbuster/internal/kmem"
 	"ghostbuster/internal/machine"
 	"ghostbuster/internal/ntfs"
 	"ghostbuster/internal/vtime"
@@ -57,7 +58,7 @@ const (
 // ghost has scrubbed itself from here.
 func scanCrossMemHighC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
-	procs, err := kernel.WalkCidProcesses(m.Kern.ScanMem(), m.Kern.Layout())
+	procs, err := walkProcs(m, kernel.WalkCidProcesses)
 	if err != nil {
 		return nil, fmt.Errorf("core: kmem-carve high scan: %w", err)
 	}
@@ -69,11 +70,17 @@ func scanCrossMemHighC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*C
 }
 
 // scanCrossMemLowC is the truth side: carve kernel memory for tagged
-// EPROCESS allocations, trusting no list.
+// EPROCESS allocations, trusting no list. The carve's bound comes from
+// the same view as the carved bytes.
 func scanCrossMemLowC(m *machine.Machine, clk *vtime.Clock, t *InternTable) (*ColumnarSnapshot, error) {
 	sw := vtime.NewStopwatch(clk)
-	limit := m.Kern.Mem.Size()
-	procs, err := kernel.CarveProcesses(m.Kern.ScanMem(), limit)
+	var procs []kernel.ProcView
+	var limit int
+	err := m.Kern.WithScanMem(func(mem kmem.Reader, size int) (err error) {
+		limit = size
+		procs, err = kernel.CarveProcesses(mem, limit)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: kmem-carve low scan: %w", err)
 	}

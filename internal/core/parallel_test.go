@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"ghostbuster/internal/faultinject"
 	"ghostbuster/internal/ghostware"
+	"ghostbuster/internal/kernel"
 	"ghostbuster/internal/machine"
 	"ghostbuster/internal/winapi"
 )
@@ -286,4 +290,125 @@ func TestModuleScanCountsSkippedPids(t *testing.T) {
 	if clean.HighSkipped != 0 || clean.LowSkipped != 0 || strings.Contains(clean.Summary(), "skipped") {
 		t.Errorf("clean scan reports skips: %q", clean.Summary())
 	}
+}
+
+// TestScanAllUnderKernelMutation: kernel mutators — process create,
+// exit and concealment, module load — run in a tight loop against a
+// four-lane ScanAll with the kmem-carve pair, once clean and once under
+// a kmem fault plan re-armed for every sweep. Each kernel-memory walk
+// holds one arena read lock for its whole length, and the mutators keep
+// writers queued on that lock, so a nested read lock anywhere inside a
+// walk would hang here: the timeout turns the hang into a failure. Run
+// it under -race. Clean sweeps must not degrade at all; faulted sweeps
+// may degrade only the units that read kernel memory, never by panic.
+func TestScanAllUnderKernelMutation(t *testing.T) {
+	kmemUnits := map[string]bool{
+		"processes/low": true, "modules/high": true, "modules/low": true,
+		"kmem-carve/high": true, "kmem-carve/low": true,
+	}
+	for _, tc := range []struct {
+		name   string
+		faults string
+	}{
+		{"clean", ""},
+		{"kmem-faults", "kmem:flip@40;kmem:err@3000;kmem:torn@9000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mustMachine(t)
+			var inj *faultinject.Injector
+			if tc.faults != "" {
+				faults, err := faultinject.ParseFaults(tc.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inj, err = faultinject.New(m, faultinject.Plan{Seed: 1, Faults: faults}); err != nil {
+					t.Fatal(err)
+				}
+				inj.Arm()
+			}
+			d := NewDetector(m)
+			d.Advanced = true
+			d.Parallelism = 4
+			d.Units = UnitCrossMem
+			d.Contain = true
+
+			// Sweep until the mutator has returned, after its 500 rounds
+			// or at its first error, and at least six times.
+			var mutDone atomic.Bool
+			stop := make(chan struct{})
+			mutated := make(chan error, 1)
+			go func() {
+				err := mutateKernel(m.Kern, 500, stop)
+				mutDone.Store(true)
+				mutated <- err
+			}()
+			swept := make(chan error, 1)
+			degraded := 0
+			go func() {
+				for i := 0; i < 6 || !mutDone.Load(); i++ {
+					if inj != nil {
+						inj.Reset()
+					}
+					reports, err := d.ScanAll()
+					if err != nil {
+						swept <- fmt.Errorf("sweep %d: %w", i, err)
+						return
+					}
+					for _, r := range reports {
+						for _, du := range r.DegradedUnits {
+							if inj == nil || !kmemUnits[du.Unit] || du.Fault == "" || strings.Contains(du.Fault, "panicked") {
+								swept <- fmt.Errorf("sweep %d degraded %s: %q", i, du.Unit, du.Fault)
+								return
+							}
+							degraded++
+						}
+					}
+				}
+				swept <- nil
+			}()
+			select {
+			case err := <-swept:
+				close(stop)
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(2 * time.Minute):
+				t.Fatal("sweeps under kernel mutation did not finish in 2m: a kernel-memory walk deadlocked")
+			}
+			if err := <-mutated; err != nil {
+				t.Errorf("mutator: %v", err)
+			}
+			if inj != nil && degraded == 0 {
+				t.Error("the kmem fault plan degraded no unit in any sweep")
+			}
+		})
+	}
+}
+
+// mutateKernel creates, module-loads and then exits (or, every fourth
+// time, conceals) processes until stop closes or it has run n rounds.
+func mutateKernel(k *kernel.Kernel, n int64, stop <-chan struct{}) error {
+	for i := int64(0); i < n; i++ {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		pid, err := k.CreateProcess(fmt.Sprintf("churn%d.exe", i%8), `C:\WINDOWS\Temp\churn.exe`, kernel.SystemPid)
+		if err != nil {
+			return fmt.Errorf("CreateProcess: %w", err)
+		}
+		if _, err := k.LoadModule(pid, `C:\WINDOWS\Temp\churn.dll`); err != nil {
+			return fmt.Errorf("LoadModule: %w", err)
+		}
+		if i%4 == 3 {
+			err = k.ConcealProcess(pid)
+		} else {
+			err = k.ExitProcess(pid)
+		}
+		if err != nil {
+			return fmt.Errorf("round %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -506,7 +506,7 @@ func scanProcsLowC(m *machine.Machine, advanced bool, clk *vtime.Clock, t *Inter
 		view = ViewKernelCID
 		walker = kernel.WalkCidProcesses
 	}
-	procs, err := walker(m.Kern.ScanMem(), m.Kern.Layout())
+	procs, err := walkProcs(m, walker)
 	if err != nil {
 		return nil, fmt.Errorf("core: low-level process scan: %w", err)
 	}
@@ -649,7 +649,7 @@ func (b *ModuleBuilder) Build() *ColumnarSnapshot { return b.bld.Build() }
 // list GhostBuster feeds to the module scans so that modules of hidden
 // processes are covered too.
 func TruthPids(m *machine.Machine) ([]uint64, error) {
-	procs, err := kernel.WalkCidProcesses(m.Kern.ScanMem(), m.Kern.Layout())
+	procs, err := walkProcs(m, kernel.WalkCidProcesses)
 	if err != nil {
 		return nil, err
 	}
@@ -658,6 +658,16 @@ func TruthPids(m *machine.Machine) ([]uint64, error) {
 		pids = append(pids, p.Pid)
 	}
 	return pids, nil
+}
+
+// walkProcs runs a process-list walk over the scan reader of one
+// kernel-memory view.
+func walkProcs(m *machine.Machine, walk func(kmem.Reader, kernel.Layout) ([]kernel.ProcView, error)) (procs []kernel.ProcView, err error) {
+	err = m.Kern.WithScanMem(func(mem kmem.Reader, _ int) error {
+		procs, err = walk(mem, m.Kern.Layout())
+		return err
+	})
+	return procs, err
 }
 
 // --- map-form adapters ------------------------------------------------------------

@@ -292,3 +292,38 @@ func TestArmWithoutFiringIsFreeOfCharge(t *testing.T) {
 		t.Errorf("armed-but-idle sweep charged %v, clean sweep %v", got, cleanElapsed)
 	}
 }
+
+// TestKmemErrOnCidWalkIsDeterministic: a kmem error plan fails the same
+// read of a CID walk, with byte-identical error text, on every run. The
+// table scan (two reads per slot of the 4096-slot table, plus one owner
+// read per thread) is in slot order by construction; this sweeps K over
+// the tail of the walk, where the live processes' objects are read.
+func TestKmemErrOnCidWalkIsDeterministic(t *testing.T) {
+	m := testMachine(t)
+	inj := armed(t, m, Fault{Source: SourceKmem, Kind: KindErr, After: 1 << 30, Count: 1})
+	if _, err := core.TruthPids(m); err != nil {
+		t.Fatal(err)
+	}
+	total := inj.counts[SourceKmem]
+	inj.Disarm()
+	if total <= 8192 {
+		t.Fatalf("a CID walk made %d scan reads, want more than the table scan's 8192", total)
+	}
+	for k := 8190; k <= total; k++ {
+		inj := armed(t, m, Fault{Source: SourceKmem, Kind: KindErr, After: k, Count: 1})
+		var first string
+		for run := 0; run < 20; run++ {
+			inj.Reset()
+			_, err := core.TruthPids(m)
+			if err == nil {
+				t.Fatalf("K=%d run %d: walk of %d reads did not fail", k, run, total)
+			}
+			if run == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("K=%d run %d: error %q, first run %q", k, run, err, first)
+			}
+		}
+		inj.Disarm()
+	}
+}

@@ -367,9 +367,10 @@ func (k *kmemFault) inj() *Injector { return (*Injector)(k) }
 
 // WrapReader interposes on scanner-facing kernel-memory reads. The OS's
 // own structure walks use the raw arena; only cross-view scan reads are
-// fault candidates.
-func (k *kmemFault) WrapReader(r kmem.Reader) kmem.Reader {
-	return &faultReader{inj: k.inj(), r: r}
+// fault candidates. The torn cutoff comes from the view's own size, so
+// deciding a read takes no arena lock.
+func (k *kmemFault) WrapReader(mem *kmem.ImageReader) kmem.Reader {
+	return &faultReader{inj: k.inj(), r: mem, cutoff: kmem.Base + uint64(mem.Size())/2}
 }
 
 // CorruptDump damages a crash-dump image copy: empty (err), truncated
@@ -424,10 +425,12 @@ func readLE64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// faultReader wraps a kmem.Reader with per-read fault decisions.
+// faultReader wraps one kernel-memory view with per-read fault
+// decisions. Reads at or above cutoff are in the arena's upper half.
 type faultReader struct {
-	inj *Injector
-	r   kmem.Reader
+	inj    *Injector
+	r      *kmem.ImageReader
+	cutoff uint64
 }
 
 // kmemDecision: what to do with one scan read.
@@ -442,7 +445,7 @@ const (
 // address range gone unreadable mid-walk) and stays pending otherwise.
 // KindFlip only ever applies to pointer-shaped u64 values, so it stays
 // pending (unconsumed) until confirmKmemFlip sees one.
-func (i *Injector) kmemAccess(addr uint64, canFlip bool) (act int, idx int, n int) {
+func (i *Injector) kmemAccess(addr, cutoff uint64, canFlip bool) (act int, idx int, n int) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if !i.armed {
@@ -450,7 +453,6 @@ func (i *Injector) kmemAccess(addr uint64, canFlip bool) (act int, idx int, n in
 	}
 	i.counts[SourceKmem]++
 	n = i.counts[SourceKmem]
-	cutoff := kmem.Base + uint64(i.m.Kern.Mem.Size())/2
 	for fi, f := range i.plan.Faults {
 		if f.Source != SourceKmem || n < f.After || i.fires[fi] >= f.Count {
 			continue
@@ -492,7 +494,7 @@ func injectedRead(addr uint64, n int) error {
 }
 
 func (fr *faultReader) ReadU64(addr uint64) (uint64, error) {
-	act, idx, n := fr.inj.kmemAccess(addr, true)
+	act, idx, n := fr.inj.kmemAccess(addr, fr.cutoff, true)
 	if act == kmemFail {
 		return 0, injectedRead(addr, n)
 	}
@@ -508,7 +510,7 @@ func (fr *faultReader) ReadU64(addr uint64) (uint64, error) {
 }
 
 func (fr *faultReader) ReadU32(addr uint64) (uint32, error) {
-	act, _, n := fr.inj.kmemAccess(addr, false)
+	act, _, n := fr.inj.kmemAccess(addr, fr.cutoff, false)
 	if act == kmemFail {
 		return 0, injectedRead(addr, n)
 	}
@@ -516,7 +518,7 @@ func (fr *faultReader) ReadU32(addr uint64) (uint32, error) {
 }
 
 func (fr *faultReader) ReadBytes(addr uint64, n int) ([]byte, error) {
-	act, _, acc := fr.inj.kmemAccess(addr, false)
+	act, _, acc := fr.inj.kmemAccess(addr, fr.cutoff, false)
 	if act == kmemFail {
 		return nil, injectedRead(addr, acc)
 	}
@@ -524,7 +526,7 @@ func (fr *faultReader) ReadBytes(addr uint64, n int) ([]byte, error) {
 }
 
 func (fr *faultReader) ReadCString(addr uint64, max int) (string, error) {
-	act, _, acc := fr.inj.kmemAccess(addr, false)
+	act, _, acc := fr.inj.kmemAccess(addr, fr.cutoff, false)
 	if act == kmemFail {
 		return "", injectedRead(addr, acc)
 	}

@@ -27,8 +27,11 @@ var ErrNoSuchModule = errors.New("kernel: no such module")
 // in arena memory is the authoritative id mapping).
 //
 // Mutators serialize on an internal lock so id allocation and compound
-// structure updates stay consistent; readers go straight to the arena,
-// whose per-access locking makes concurrent traversal memory-safe.
+// structure updates stay consistent, and write the arena one access at a
+// time. Every read-only walk runs inside one arena View: one read lock
+// per walk, so concurrent traversal is memory-safe and never sees a torn
+// word, though it can see a compound DKOM update half done between two
+// of its writes.
 type Kernel struct {
 	Mem     *kmem.Arena
 	mu      sync.Mutex // guards mutators and the id allocators below
@@ -42,12 +45,13 @@ type Kernel struct {
 }
 
 // ScanFault is a fault-injection hook over scanner-facing kernel-memory
-// access: cross-view scan reads (ScanMem) and crash-dump images
+// access: cross-view scan reads (WithScanMem) and crash-dump images
 // (DumpImage). The OS's own structure walks use the raw arena and are
 // never faulted — the kernel does not fail against itself.
 type ScanFault interface {
-	// WrapReader interposes on scan reads of kernel memory.
-	WrapReader(r kmem.Reader) kmem.Reader
+	// WrapReader interposes on the scan reads of one walk over mem, a
+	// borrowed arena View; the wrapper must not outlive the walk.
+	WrapReader(mem *kmem.ImageReader) kmem.Reader
 	// CorruptDump may return a damaged replacement for a dump image
 	// copy, or nil to leave it clean. It must not modify img in place
 	// beyond returning it.
@@ -67,13 +71,26 @@ func (k *Kernel) scanFault() ScanFault {
 	return k.fault
 }
 
-// ScanMem returns the kernel-memory reader cross-view scanners must
-// use: the raw arena, wrapped by the scan fault hook when one is armed.
-func (k *Kernel) ScanMem() kmem.Reader {
-	if f := k.scanFault(); f != nil {
-		return f.WrapReader(k.Mem)
-	}
-	return k.Mem
+// WithScanMem runs fn with the kernel-memory reader cross-view scanners
+// must use — one View of the arena, wrapped by the scan fault hook when
+// one is armed — and the arena's allocated size, the bound of a pool
+// carve. Both describe the same image. The reader must not escape fn.
+func (k *Kernel) WithScanMem(fn func(mem kmem.Reader, size int) error) error {
+	return k.scanView(func(raw *kmem.ImageReader, scan kmem.Reader) error {
+		return fn(scan, raw.Size())
+	})
+}
+
+// scanView runs fn inside one arena View with both the raw reader (for
+// the kernel's own lookups, never faulted) and the scan reader.
+func (k *Kernel) scanView(fn func(raw *kmem.ImageReader, scan kmem.Reader) error) error {
+	f := k.scanFault()
+	return k.Mem.View(func(raw *kmem.ImageReader) error {
+		if f != nil {
+			return fn(raw, f.WrapReader(raw))
+		}
+		return fn(raw, raw)
+	})
 }
 
 // DumpImage returns a crash-dump memory image: a snapshot of the arena,
@@ -168,22 +185,30 @@ func (k *Kernel) cidRemove(id, typ uint64) error {
 // EprocessByPid resolves a pid to its EPROCESS address via the CID
 // table, so it finds processes even after DKOM unlinked them from the
 // Active Process List.
-func (k *Kernel) EprocessByPid(pid uint64) (uint64, error) {
+func (k *Kernel) EprocessByPid(pid uint64) (eproc uint64, err error) {
+	err = k.Mem.View(func(r *kmem.ImageReader) error {
+		eproc, err = k.eprocessByPid(r, pid)
+		return err
+	})
+	return eproc, err
+}
+
+func (k *Kernel) eprocessByPid(r kmem.Reader, pid uint64) (uint64, error) {
 	for i := uint64(0); i < cidCapacity; i++ {
 		slot := k.layout.CidTable + cidHdrSize + i*cidSlotSize
-		t, err := k.Mem.ReadU64(slot + cidSlotType)
+		t, err := r.ReadU64(slot + cidSlotType)
 		if err != nil {
 			return 0, err
 		}
 		if t != CidProcess {
 			continue
 		}
-		id, err := k.Mem.ReadU64(slot + cidSlotID)
+		id, err := r.ReadU64(slot + cidSlotID)
 		if err != nil {
 			return 0, err
 		}
 		if id == pid {
-			return k.Mem.ReadU64(slot + cidSlotObj)
+			return r.ReadU64(slot + cidSlotObj)
 		}
 	}
 	return 0, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
@@ -203,9 +228,6 @@ func (k *Kernel) createProcess(name, imagePath string, parent uint64) (uint64, e
 	k.nextPid += 4 // NT pids are multiples of 4
 	eproc := k.Mem.Alloc(EprocSize)
 	if err := k.Mem.WriteU64(eproc+EprocPid, pid); err != nil {
-		return 0, err
-	}
-	if err := k.Mem.WriteU32(eproc+EprocPoolTag, PoolTagProc); err != nil {
 		return 0, err
 	}
 	if err := k.Mem.WriteCString(eproc+EprocImageName, name, eprocNameCap); err != nil {
@@ -228,6 +250,11 @@ func (k *Kernel) createProcess(name, imagePath string, parent uint64) (uint64, e
 		return 0, err
 	}
 	if err := k.Mem.ListInit(eproc + EprocVadHead); err != nil {
+		return 0, err
+	}
+	// Tag the object only once every field a carve decodes is set, so a
+	// concurrent pool-tag carve never reads a half-built EPROCESS.
+	if err := k.Mem.WriteU32(eproc+EprocPoolTag, PoolTagProc); err != nil {
 		return 0, err
 	}
 	if err := k.Mem.ListInsertTail(k.layout.ActiveProcessHead, eproc+EprocActiveLinks); err != nil {
@@ -421,13 +448,18 @@ func (k *Kernel) newModEntry(path string, base, size uint64) (uint64, error) {
 }
 
 // ModulesTruth returns the VAD image list of a process — the low-level
-// module view.
-func (k *Kernel) ModulesTruth(pid uint64) ([]ModView, error) {
-	eproc, err := k.EprocessByPid(pid)
-	if err != nil {
-		return nil, err
-	}
-	return ProcessVadImages(k.ScanMem(), eproc)
+// module view. The pid lookup reads the raw arena; only the VAD walk is
+// a scan read.
+func (k *Kernel) ModulesTruth(pid uint64) (mods []ModView, err error) {
+	err = k.scanView(func(raw *kmem.ImageReader, scan kmem.Reader) error {
+		eproc, err := k.eprocessByPid(raw, pid)
+		if err != nil {
+			return err
+		}
+		mods, err = ProcessVadImages(scan, eproc)
+		return err
+	})
+	return mods, err
 }
 
 // LoadDriver appends a driver to the system module list.
@@ -460,7 +492,7 @@ func (k *Kernel) LoadDriver(path string) (uint64, error) {
 func (k *Kernel) UnloadDriver(name string) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	mods, err := WalkDrivers(k.Mem, k.layout)
+	mods, err := k.Drivers()
 	if err != nil {
 		return err
 	}
@@ -474,11 +506,7 @@ func (k *Kernel) UnloadDriver(name string) error {
 
 // FindModuleEntry locates a module LDR entry of a process by file name.
 func (k *Kernel) FindModuleEntry(pid uint64, name string) (uint64, error) {
-	eproc, err := k.EprocessByPid(pid)
-	if err != nil {
-		return 0, err
-	}
-	mods, err := ProcessModules(k.Mem, eproc)
+	mods, err := k.Modules(pid)
 	if err != nil {
 		return 0, err
 	}
@@ -505,27 +533,43 @@ func (k *Kernel) BlankModuleName(entryAddr uint64) error {
 
 // Processes returns the Active Process List view of the live kernel
 // (what NtQuerySystemInformation's kernel handler reads).
-func (k *Kernel) Processes() ([]ProcView, error) {
-	return WalkActiveProcessList(k.Mem, k.layout)
+func (k *Kernel) Processes() (procs []ProcView, err error) {
+	err = k.Mem.View(func(r *kmem.ImageReader) error {
+		procs, err = WalkActiveProcessList(r, k.layout)
+		return err
+	})
+	return procs, err
 }
 
 // ProcessesAdvanced returns the CID-table view (advanced mode).
-func (k *Kernel) ProcessesAdvanced() ([]ProcView, error) {
-	return WalkCidProcesses(k.Mem, k.layout)
+func (k *Kernel) ProcessesAdvanced() (procs []ProcView, err error) {
+	err = k.Mem.View(func(r *kmem.ImageReader) error {
+		procs, err = WalkCidProcesses(r, k.layout)
+		return err
+	})
+	return procs, err
 }
 
 // Modules returns the module list of a process.
-func (k *Kernel) Modules(pid uint64) ([]ModView, error) {
-	eproc, err := k.EprocessByPid(pid)
-	if err != nil {
-		return nil, err
-	}
-	return ProcessModules(k.Mem, eproc)
+func (k *Kernel) Modules(pid uint64) (mods []ModView, err error) {
+	err = k.Mem.View(func(r *kmem.ImageReader) error {
+		eproc, err := k.eprocessByPid(r, pid)
+		if err != nil {
+			return err
+		}
+		mods, err = ProcessModules(r, eproc)
+		return err
+	})
+	return mods, err
 }
 
 // Drivers returns the system driver list.
-func (k *Kernel) Drivers() ([]ModView, error) {
-	return WalkDrivers(k.Mem, k.layout)
+func (k *Kernel) Drivers() (mods []ModView, err error) {
+	err = k.Mem.View(func(r *kmem.ImageReader) error {
+		mods, err = WalkDrivers(r, k.layout)
+		return err
+	})
+	return mods, err
 }
 
 // PidByName returns the pid of the first live process with the given

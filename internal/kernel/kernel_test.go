@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -480,5 +482,76 @@ func TestExitedProcessStaysReadableInMemory(t *testing.T) {
 	flags, err := k.Mem.ReadU64(eproc + EprocFlags)
 	if err != nil || flags&1 == 0 {
 		t.Errorf("exited flag not set: %#x err %v", flags, err)
+	}
+}
+
+// recordingReader logs the address of every read it serves.
+type recordingReader struct {
+	kmem.Reader
+	addrs []uint64
+}
+
+func (r *recordingReader) ReadU64(addr uint64) (uint64, error) {
+	r.addrs = append(r.addrs, addr)
+	return r.Reader.ReadU64(addr)
+}
+
+func (r *recordingReader) ReadU32(addr uint64) (uint32, error) {
+	r.addrs = append(r.addrs, addr)
+	return r.Reader.ReadU32(addr)
+}
+
+func (r *recordingReader) ReadBytes(addr uint64, n int) ([]byte, error) {
+	r.addrs = append(r.addrs, addr)
+	return r.Reader.ReadBytes(addr, n)
+}
+
+func (r *recordingReader) ReadCString(addr uint64, maxLen int) (string, error) {
+	r.addrs = append(r.addrs, addr)
+	return r.Reader.ReadCString(addr, maxLen)
+}
+
+// TestCidWalkReadOrderIsFixed: the CID walk issues the same reads at the
+// same addresses, in the same order, on every run, so a fault plan that
+// fails the K-th scan read fails the same read — with the same error
+// text — for every K. Exits free CID slots that later processes reuse,
+// so slot order differs from allocation order.
+func TestCidWalkReadOrderIsFixed(t *testing.T) {
+	k := mustKernel(t)
+	var pids []uint64
+	for i := 0; i < 24; i++ {
+		pid, err := k.CreateProcess(fmt.Sprintf("p%02d.exe", i), fmt.Sprintf(`C:\p%02d.exe`, i), SystemPid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, pid)
+	}
+	for _, pid := range pids[:12:12] {
+		if err := k.ExitProcess(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := k.CreateProcess(fmt.Sprintf("q%02d.exe", i), "", SystemPid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first []uint64
+	for run := 0; run < 20; run++ {
+		rec := &recordingReader{Reader: k.Mem}
+		procs, err := WalkCidProcesses(rec, k.Layout())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(procs) != 1+12+8 {
+			t.Fatalf("run %d: %d processes, want 21", run, len(procs))
+		}
+		if run == 0 {
+			first = rec.addrs
+			continue
+		}
+		if !slices.Equal(rec.addrs, first) {
+			t.Fatalf("run %d read a different address sequence (%d reads vs %d)", run, len(rec.addrs), len(first))
+		}
 	}
 }

@@ -22,6 +22,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostbuster/internal/kmem"
 )
@@ -207,9 +208,8 @@ func WalkCidProcesses(r kmem.Reader, layout Layout) ([]ProcView, error) {
 	if capacity > maxWalk {
 		return nil, fmt.Errorf("kernel: CID table capacity %d exceeds sanity bound", capacity)
 	}
-	// Collect thread owners, then all process objects.
-	owners := map[uint64]int{}
-	procAddrs := map[uint64]bool{}
+	// Collect process objects and thread owners in slot order.
+	var procs, owners []uint64
 	for i := uint64(0); i < capacity; i++ {
 		slot := layout.CidTable + cidHdrSize + i*cidSlotSize
 		typ, err := r.ReadU64(slot + cidSlotType)
@@ -226,25 +226,36 @@ func WalkCidProcesses(r kmem.Reader, layout Layout) ([]ProcView, error) {
 			if err != nil {
 				return nil, err
 			}
-			owners[owner]++
+			owners = append(owners, owner)
 		case CidProcess:
-			procAddrs[obj] = true
+			procs = append(procs, obj)
 		}
 	}
 	// Consistency check: every thread's owner must be a process object in
 	// this same table. A dangling owner means the table bytes are corrupt
 	// (torn write, bad dump, bit damage); trusting the walk would silently
-	// drop the real owner, so fail loudly instead.
-	for owner := range owners {
-		if !procAddrs[owner] {
+	// drop the real owner, so fail loudly instead, naming the first
+	// dangling owner in slot order.
+	byAddr := slices.Clone(procs)
+	slices.Sort(byAddr)
+	byAddr = slices.Compact(byAddr)
+	live := make([]bool, len(byAddr)) // owns at least one thread
+	for _, owner := range owners {
+		i, ok := slices.BinarySearch(byAddr, owner)
+		if !ok {
 			return nil, fmt.Errorf("kernel: CID table inconsistent: thread owner %#x is not a process object", owner)
 		}
+		live[i] = true
 	}
-	out := make([]ProcView, 0, len(owners))
-	for addr := range procAddrs {
-		if owners[addr] == 0 {
-			continue // no schedulable thread: not a live process
+	// Read the live processes in slot order, each object once, so a scan
+	// read's position in the walk is the same on every run.
+	out := make([]ProcView, 0, len(byAddr))
+	for _, addr := range procs {
+		i, _ := slices.BinarySearch(byAddr, addr)
+		if !live[i] {
+			continue // no schedulable thread (or already read): not a live process
 		}
+		live[i] = false
 		p, err := readProc(r, addr)
 		if err != nil {
 			return nil, err

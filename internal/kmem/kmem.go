@@ -36,11 +36,13 @@ func (e *ErrBadAddress) Error() string {
 // Arena is a growable kernel address space with a bump allocator.
 // The zero value is not usable; call New.
 //
-// Individual accesses are guarded by a read-write lock so concurrent
-// scanners can traverse structures while the kernel (or a DKOM rootkit)
-// mutates them. Only single accesses are atomic — a multi-word update
-// such as a LIST_ENTRY unlink can be observed half-done, which is the
-// same race window a real kernel walker faces.
+// A read-write lock guards the arena so concurrent scanners can traverse
+// structures while the kernel (or a DKOM rootkit) mutates them. Writers
+// lock per access. A traversal takes the read lock once for the whole
+// walk (View), so it never sees a torn word; a compound update such as a
+// LIST_ENTRY unlink is still a sequence of separate writes, and a walk
+// that runs between two of them sees it half done — the same race window
+// a real kernel walker faces.
 type Arena struct {
 	mu   sync.RWMutex
 	mem  []byte
@@ -77,33 +79,38 @@ func (a *Arena) Size() int {
 	return int(a.next)
 }
 
-func (a *Arena) offset(addr uint64, size int) (uint64, error) {
-	if addr < Base {
-		return 0, &ErrBadAddress{Addr: addr, Size: size}
-	}
-	off := addr - Base
-	if off+uint64(size) > uint64(len(a.mem)) || size < 0 {
-		return 0, &ErrBadAddress{Addr: addr, Size: size}
-	}
-	return off, nil
+// reader returns a reader over the current contents. The caller must
+// hold a.mu.
+func (a *Arena) reader() ImageReader { return ImageReader{img: a.mem, size: int(a.next)} }
+
+// View runs fn under one read lock with a reader over the arena, so a
+// whole traversal costs one lock round trip instead of one per word.
+// The reader has the same bounds and ErrBadAddress errors as the
+// per-access methods, and its Size is the arena's. It is borrowed: it
+// must not escape fn, and fn must not call any arena method that takes
+// the lock (a nested read lock deadlocks once a writer is queued).
+// Writers issued while fn runs land after it returns.
+func (a *Arena) View(fn func(r *ImageReader) error) error {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	r := a.reader()
+	return fn(&r)
 }
 
 // ReadU64 reads a 64-bit little-endian value at addr.
 func (a *Arena) ReadU64(addr uint64) (uint64, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	off, err := a.offset(addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(a.mem[off:]), nil
+	r := a.reader()
+	return r.ReadU64(addr)
 }
 
 // WriteU64 writes a 64-bit little-endian value at addr.
 func (a *Arena) WriteU64(addr, v uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off, err := a.offset(addr, 8)
+	r := a.reader()
+	off, err := r.offset(addr, 8)
 	if err != nil {
 		return err
 	}
@@ -115,18 +122,16 @@ func (a *Arena) WriteU64(addr, v uint64) error {
 func (a *Arena) ReadU32(addr uint64) (uint32, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	off, err := a.offset(addr, 4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(a.mem[off:]), nil
+	r := a.reader()
+	return r.ReadU32(addr)
 }
 
 // WriteU32 writes a 32-bit little-endian value at addr.
 func (a *Arena) WriteU32(addr uint64, v uint32) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off, err := a.offset(addr, 4)
+	r := a.reader()
+	off, err := r.offset(addr, 4)
 	if err != nil {
 		return err
 	}
@@ -138,20 +143,16 @@ func (a *Arena) WriteU32(addr uint64, v uint32) error {
 func (a *Arena) ReadBytes(addr uint64, n int) ([]byte, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	off, err := a.offset(addr, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, a.mem[off:])
-	return out, nil
+	r := a.reader()
+	return r.ReadBytes(addr, n)
 }
 
 // WriteBytes stores b starting at addr.
 func (a *Arena) WriteBytes(addr uint64, b []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	off, err := a.offset(addr, len(b))
+	r := a.reader()
+	off, err := r.offset(addr, len(b))
 	if err != nil {
 		return err
 	}
@@ -161,16 +162,10 @@ func (a *Arena) WriteBytes(addr uint64, b []byte) error {
 
 // ReadCString reads a NUL-padded byte string of at most maxLen bytes.
 func (a *Arena) ReadCString(addr uint64, maxLen int) (string, error) {
-	b, err := a.ReadBytes(addr, maxLen)
-	if err != nil {
-		return "", err
-	}
-	for i, c := range b {
-		if c == 0 {
-			return string(b[:i]), nil
-		}
-	}
-	return string(b), nil
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	r := a.reader()
+	return r.ReadCString(addr, maxLen)
 }
 
 // WriteCString stores s NUL-padded into a field of maxLen bytes,
@@ -263,22 +258,7 @@ func (a *Arena) ListRemove(entry uint64) error {
 // head, excluding the head itself. It guards against corrupt or cyclic
 // lists by refusing to walk more than maxEntries entries.
 func (a *Arena) ListWalk(head uint64, maxEntries int) ([]uint64, error) {
-	var out []uint64
-	cur, err := a.ReadU64(head)
-	if err != nil {
-		return nil, err
-	}
-	for cur != head {
-		if len(out) >= maxEntries {
-			return nil, fmt.Errorf("kmem: list at %#x exceeds %d entries (corrupt?)", head, maxEntries)
-		}
-		out = append(out, cur)
-		cur, err = a.ReadU64(cur)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return WalkList(a, head, maxEntries)
 }
 
 // Reader is the read-only view shared by the live arena and parsed crash
@@ -294,18 +274,20 @@ type Reader interface {
 var _ Reader = (*Arena)(nil)
 
 // ImageReader adapts a raw memory image (e.g. extracted from a crash
-// dump) to the Reader interface.
+// dump) to the Reader interface. Arena.View hands out one over the live
+// arena.
 type ImageReader struct {
-	img []byte
+	img  []byte
+	size int // allocated bytes: len(img) for a dump, the bump offset for a View
 }
 
 // NewImageReader wraps a raw arena image.
-func NewImageReader(img []byte) *ImageReader { return &ImageReader{img: img} }
+func NewImageReader(img []byte) *ImageReader { return &ImageReader{img: img, size: len(img)} }
 
-// Size returns the image length in bytes, so pool-carving scans can
-// bound their sweep over a dump the same way they bound it over the
-// live arena.
-func (r *ImageReader) Size() int { return len(r.img) }
+// Size returns the number of allocated bytes in the image, so
+// pool-carving scans bound their sweep over a dump the same way they
+// bound it over the live arena.
+func (r *ImageReader) Size() int { return r.size }
 
 var _ Reader = (*ImageReader)(nil)
 

@@ -2,8 +2,10 @@ package kmem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAllocAlignmentAndGrowth(t *testing.T) {
@@ -359,5 +361,91 @@ func TestQuickListInsertRemove(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestViewDefersWriters: View holds the read lock for all of fn, so a
+// write issued while fn runs lands only after fn returns, and every read
+// inside fn sees the old value.
+func TestViewDefersWriters(t *testing.T) {
+	a := New()
+	p := a.Alloc(8)
+	if err := a.WriteU64(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	err := a.View(func(r *ImageReader) error {
+		go func() { wrote <- a.WriteU64(p, 2) }()
+		select {
+		case err := <-wrote:
+			return fmt.Errorf("write landed while the view was open (err %v)", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		v, err := r.ReadU64(p)
+		if err != nil {
+			return err
+		}
+		if v != 1 {
+			return fmt.Errorf("view read %d with a write pending, want 1", v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("deferred write: %v", err)
+	}
+	if v, err := a.ReadU64(p); err != nil || v != 2 {
+		t.Fatalf("after the view: ReadU64 = %d, %v; want 2", v, err)
+	}
+}
+
+// TestViewMatchesPerAccessReads: the borrowed reader has the per-access
+// methods' bounds (the whole backing store, not just the allocated
+// bytes), their ErrBadAddress errors, and the arena's allocated size.
+func TestViewMatchesPerAccessReads(t *testing.T) {
+	a := New()
+	p := a.Alloc(24)
+	if err := a.WriteU64(p, 0xfeed); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteCString(p+8, "view", 16); err != nil {
+		t.Fatal(err)
+	}
+	past := Base + uint64(a.Size()) // allocated bytes end here; the page does not
+	end := Base + 4096 + 64         // first byte past the backing store
+	addrs := []uint64{p, p + 8, past, end - 8, end, end - 4, Base - 8, 1}
+	// The per-access reads run before the view: a nested read lock inside
+	// fn could deadlock behind a queued writer.
+	want := make([]string, len(addrs))
+	for i, addr := range addrs {
+		v, err := a.ReadU64(addr)
+		b, berr := a.ReadBytes(addr, 8)
+		want[i] = fmt.Sprintf("%#x %v %x %v", v, err, b, berr)
+	}
+	err := a.View(func(r *ImageReader) error {
+		if got, want := r.Size(), a.next; got != int(want) {
+			return fmt.Errorf("view Size = %d, want %d", got, want)
+		}
+		for i, addr := range addrs {
+			v, err := r.ReadU64(addr)
+			b, berr := r.ReadBytes(addr, 8)
+			if got := fmt.Sprintf("%#x %v %x %v", v, err, b, berr); got != want[i] {
+				return fmt.Errorf("reads at %#x: view %s, arena %s", addr, got, want[i])
+			}
+		}
+		s, err := r.ReadCString(p+8, 16)
+		if err != nil || s != "view" {
+			return fmt.Errorf("ReadCString = %q, %v; want \"view\"", s, err)
+		}
+		var bad *ErrBadAddress
+		if _, err := r.ReadU32(end); !errors.As(err, &bad) {
+			return fmt.Errorf("ReadU32 past the arena: %v, want ErrBadAddress", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
