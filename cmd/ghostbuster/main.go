@@ -624,8 +624,6 @@ func runShardedFleet(opts fleetOptions) (int, error) {
 		switch {
 		case sr.Lost:
 			status = "LOST (hosts re-hashed to survivors)"
-		case sr.Quarantined:
-			status = "QUARANTINED"
 		case sr.Err != "":
 			status = "error: " + sr.Err
 		case sr.Summary != nil && sr.Summary.Infected > 0:

@@ -586,9 +586,6 @@ func (d *Daemon) ActiveProfile() profile.Profile {
 	return d.active
 }
 
-// ProfileStore exposes the daemon's profile store (import/export).
-func (d *Daemon) ProfileStore() *profile.Store { return d.store }
-
 // SwitchProfile makes the named profile active, through the
 // locked-profile transition rules (a lock follows the switch and
 // refuses lower-ranked targets).

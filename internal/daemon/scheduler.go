@@ -161,18 +161,26 @@ func (d *Daemon) runSweep(names []string, trigger string, now time.Time) (*Sweep
 	}
 
 	info := &SweepInfo{ID: id, Trigger: trigger, Profile: prof.Name, Hosts: meta.Hosts, Started: now}
+	return d.sweepAndCommit(info, prof, hosts, sharded, false)
+}
+
+// sweepAndCommit runs (or resumes) sweep info.ID on one local manager or
+// through the shard coordinator, then commits it. A finished sweep is
+// marked done and advances its hosts' baselines to the pre-scan keys;
+// a failed one is recorded with its error and advances nothing.
+func (d *Daemon) sweepAndCommit(info *SweepInfo, prof profile.Profile, hosts []dueHost, sharded, resume bool) (*SweepInfo, error) {
 	var err error
 	if sharded {
-		err = d.sweepSharded(info, prof, hostSet(hosts), false)
+		err = d.sweepSharded(info, prof, hostSet(hosts), resume)
 	} else {
-		err = d.sweepLocal(info, prof, hosts, false)
+		err = d.sweepLocal(info, prof, hosts, resume)
 	}
 	if err != nil {
 		info.Err = err.Error()
-		d.commitSweep(info, trigger, nil)
+		d.commitSweep(info, nil)
 		return info, err
 	}
-	if err := d.markDone(id); err != nil {
+	if err := d.markDone(info.ID); err != nil {
 		return info, err
 	}
 
@@ -183,7 +191,7 @@ func (d *Daemon) runSweep(names []string, trigger string, now time.Time) (*Sweep
 	for _, h := range hosts {
 		pre[h.name] = h.preKey
 	}
-	d.commitSweep(info, trigger, pre)
+	d.commitSweep(info, pre)
 	return info, nil
 }
 
@@ -223,7 +231,6 @@ func (s memSource) Build(i int) (*machine.Machine, error) { return s.machines[i]
 func (d *Daemon) shardConfig(id int, prof profile.Profile, info *SweepInfo) fleetshard.Config {
 	sink := d.resultSink(id, info)
 	return fleetshard.Config{
-		Kind:                      fleet.SweepInside,
 		Shards:                    d.cfg.Shards,
 		ShardWorkers:              prof.Workers,
 		JournalDir:                d.shardDir(id),
@@ -330,7 +337,7 @@ func appendUnique(xs []string, x string) []string {
 // commitSweep records the finished sweep, reschedules the swept hosts,
 // and broadcasts the sweep event. pre maps host name to its pre-scan
 // generation key; nil skips baseline advancement (failed sweep).
-func (d *Daemon) commitSweep(info *SweepInfo, trigger string, pre map[string]string) {
+func (d *Daemon) commitSweep(info *SweepInfo, pre map[string]string) {
 	info.Finished = time.Now()
 	if info.Journal == "" {
 		if info.Sharded() {
@@ -341,7 +348,7 @@ func (d *Daemon) commitSweep(info *SweepInfo, trigger string, pre map[string]str
 	}
 	d.mu.Lock()
 	d.sweeps = append(d.sweeps, *info)
-	d.counts.byTrigger[trigger]++
+	d.counts.byTrigger[info.Trigger]++
 	now := info.Finished
 	for name, key := range pre {
 		h, ok := d.hosts[name]
@@ -358,7 +365,7 @@ func (d *Daemon) commitSweep(info *SweepInfo, trigger string, pre map[string]str
 	cp := *info
 	d.broadcast(Event{Type: "sweep", Sweep: info.ID, Info: &cp})
 	d.logf("daemon: sweep %d (%s, profile %s): %d hosts, %d infected, digest %.12s",
-		info.ID, trigger, info.Profile, len(info.Hosts), len(info.Infected), info.Digest)
+		info.ID, info.Trigger, info.Profile, len(info.Hosts), len(info.Infected), info.Digest)
 }
 
 // Sharded reports whether the sweep ran through the shard coordinator.
@@ -454,23 +461,5 @@ func (d *Daemon) resumeSweep(id int) (*SweepInfo, error) {
 	d.mu.Unlock()
 
 	info := &SweepInfo{ID: id, Trigger: "resume", Profile: prof.Name, Hosts: meta.Hosts, Resumed: true, Started: time.Now()}
-	if meta.Sharded {
-		err = d.sweepSharded(info, prof, hostSet(hosts), true)
-	} else {
-		err = d.sweepLocal(info, prof, hosts, true)
-	}
-	if err != nil {
-		info.Err = err.Error()
-		d.commitSweep(info, "resume", nil)
-		return info, err
-	}
-	if err := d.markDone(id); err != nil {
-		return info, err
-	}
-	pre := map[string]string{}
-	for _, h := range hosts {
-		pre[h.name] = h.preKey
-	}
-	d.commitSweep(info, "resume", pre)
-	return info, nil
+	return d.sweepAndCommit(info, prof, hosts, meta.Sharded, true)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ghostbuster/internal/faultinject"
+	"ghostbuster/internal/profile"
 	"ghostbuster/internal/supervise"
 )
 
@@ -269,8 +270,15 @@ func TestDaemonForwardsSupervisionKnobs(t *testing.T) {
 // once; with the seed set, the wait is a full-jitter sample below the
 // doubling schedule's backoff, so the retry overhead drops.
 func TestLocalSweepJittersHostRetries(t *testing.T) {
+	// RetryNs includes the failed first attempt's elapsed time, so both
+	// runs must fail the same scan unit. The standard profile's lanes
+	// race to make the first API call and its randomized order varies
+	// between runs, so either would move api:err@1 to another unit: pin
+	// one lane and the fixed order.
+	one, ordered := 1, false
+	pin := &profile.Override{HostParallelism: &one, RandomizeOrder: &ordered}
 	retryNs := func(seed int64) time.Duration {
-		d := newDaemon(t, Config{Seed: 7, BackoffJitterSeed: seed})
+		d := newDaemon(t, Config{Seed: 7, BackoffJitterSeed: seed, Override: pin})
 		m, err := BuildHost(HostSpec{Name: "h", Seed: 1})
 		if err != nil {
 			t.Fatal(err)

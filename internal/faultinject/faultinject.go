@@ -121,9 +121,6 @@ type Plan struct {
 	Faults []Fault
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool { return len(p.Faults) == 0 }
-
 // String renders the fault list as a semicolon-joined spec fragment,
 // e.g. "disk:torn@2;api:err@1x3". The seed is carried separately (it is
 // the owning spec's seed).

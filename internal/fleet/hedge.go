@@ -25,15 +25,16 @@ import (
 	"ghostbuster/internal/supervise"
 )
 
+// maxHedges bounds simultaneous duplicate scans: each holds an extra
+// materialized machine.
+const maxHedges = 2
+
 // HedgePolicy tunes straggler hedging. The threshold adapts to the
 // sweep: a host hedges once its scan's wall-clock age exceeds
-// Multiplier × the Quantile of completed-scan durations (but never less
+// Multiplier × the median of completed-scan durations (but never less
 // than Floor, and only after MinSamples completions).
 type HedgePolicy struct {
-	// Quantile in (0,1] of completed-scan wall durations used as the
-	// "normal" reference; zero means the median.
-	Quantile float64
-	// Multiplier scales the quantile into the hedge trigger; zero means 2.
+	// Multiplier scales the median into the hedge trigger; zero means 2.
 	Multiplier float64
 	// MinSamples gates hedging until this many scans have completed;
 	// zero means 3.
@@ -41,9 +42,6 @@ type HedgePolicy struct {
 	// Floor is the minimum trigger age — uniform fast fleets must not
 	// hedge on scheduler jitter.
 	Floor time.Duration
-	// MaxConcurrent bounds simultaneous duplicate scans (each holds an
-	// extra materialized machine); zero means 2.
-	MaxConcurrent int
 }
 
 // hedger is the per-sweep hedging state.
@@ -58,12 +56,7 @@ func newHedger(p *HedgePolicy) *hedger {
 	if p == nil {
 		return nil
 	}
-	maxc := p.MaxConcurrent
-	if maxc <= 0 {
-		maxc = 2
-	}
-	h := &hedger{slots: make(chan struct{}, maxc)}
-	h.tracker.Quantile = p.Quantile
+	h := &hedger{slots: make(chan struct{}, maxHedges)}
 	h.tracker.Multiplier = p.Multiplier
 	h.tracker.MinSamples = p.MinSamples
 	h.tracker.Floor = p.Floor

@@ -88,7 +88,7 @@ func (mgr *Manager) Run(ctx context.Context, p Plan) (*SweepSummary, error) {
 		gauge = &ResidentGauge{}
 	}
 	failed := 0
-	budget := supervise.ErrorBudget{Name: "error budget", Unit: "hosts", Fraction: mgr.AbortAfterFailureFraction, Total: total}
+	budget := supervise.ErrorBudget{Fraction: mgr.AbortAfterFailureFraction, Total: total}
 	commit := func(res HostResult) {
 		sum.fold(res)
 		if p.Sink != nil {

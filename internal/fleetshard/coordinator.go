@@ -2,10 +2,11 @@
 // partitions hosts across sweeper shards with the consistent-hash ring,
 // drives each shard's journaled fleet.Manager with bounded shard
 // parallelism, folds the shards' streamed summaries into one merged
-// report, and applies the shard-level reliability controls — retry with
-// the shared saturating backoff, a per-shard circuit breaker, and a
-// fleet-of-fleets error budget — one level above the per-host versions
-// in internal/fleet.
+// report. Shard-level reliability is retry with the shared saturating
+// backoff, watchdog failover of wedged shards and re-hashing of lost
+// ones; a shard that still fails leaves its hosts loudly NotScanned.
+// The circuit breaker and the error budget live one tier down, per
+// host, in internal/fleet.
 package fleetshard
 
 import (
@@ -42,16 +43,11 @@ type HostSource interface {
 }
 
 // Config tunes a Coordinator. The host-level knobs are forwarded to
-// every shard's fleet.Manager; the shard-level knobs mirror them one
-// tier up.
+// every shard's fleet.Manager; the shard-level ones retry a failed
+// shard sweep. Every shard sweeps fleet.SweepInside.
 type Config struct {
-	// Kind is the sweep flavor; empty means fleet.SweepInside.
-	Kind fleet.SweepKind
 	// Shards is the sweeper shard count (required, >= 1).
 	Shards int
-	// VNodes is the consistent-hash virtual-node count per shard;
-	// 0 means the package default.
-	VNodes int
 	// ShardParallelism bounds how many shards sweep concurrently;
 	// 0 means runtime.GOMAXPROCS(0).
 	ShardParallelism int
@@ -73,18 +69,12 @@ type Config struct {
 
 	// ShardMaxRetries re-runs a failed shard sweep this many extra
 	// times, with a doubling backoff capped by the same saturation rule
-	// as host retries (both levels drive supervise.RetryPolicy).
+	// as host retries (both levels drive supervise.RetryPolicy). A shard
+	// still failing after its retries keeps its row's Err and leaves its
+	// hosts NotScanned, so the report is Degraded.
 	ShardMaxRetries int
 	// ShardRetryBackoff is the first shard retry wait; 0 means 2s.
 	ShardRetryBackoff time.Duration
-	// ShardBreakerThreshold quarantines a shard after this many
-	// consecutive failed sweep attempts — BreakerThreshold one level
-	// up. Zero disables it.
-	ShardBreakerThreshold int
-	// AbortAfterShardFailureFraction aborts the whole run once more
-	// than this fraction of shards has failed or been quarantined —
-	// AbortAfterFailureFraction one level up. Zero disables it.
-	AbortAfterShardFailureFraction float64
 
 	// ConfigureDetector is forwarded to every shard manager (see
 	// fleet.Manager.ConfigureDetector): the seam scan-policy profiles
@@ -101,9 +91,6 @@ type Config struct {
 	// attempt (chaos/testing seam): a non-nil error fails the attempt
 	// before any host is scanned.
 	ShardFault func(shard, attempt int) error
-	// Resident, when set, is the shared bounded-memory gauge; the
-	// coordinator creates one per run otherwise.
-	Resident *fleet.ResidentGauge
 
 	// Watchdog, when enabled (nonzero Deadline), supervises every shard
 	// job with progress beacons: each committed host result beats the
@@ -130,12 +117,13 @@ const manifestName = "coordinator.json"
 // manifest records the sweep topology so Resume can validate that the
 // rebuilt fleet matches the journaled one. Host names are not listed —
 // at a million hosts that would defeat the bounded-memory point; the
-// per-shard journal headers carry each shard's exact host set.
+// per-shard journal headers carry each shard's exact host set. Kind is
+// always "inside"; manifests written before the ring's vnode count was
+// fixed also carry "vnodes": 0, which decoding ignores.
 type manifest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	Shards  int    `json:"shards"`
-	VNodes  int    `json:"vnodes"`
 	Hosts   int    `json:"hosts"`
 }
 
@@ -146,7 +134,7 @@ type ShardResult struct {
 	// (primary assignment plus adopted hosts).
 	Hosts int `json:"hosts"`
 	// Summary is the shard's streamed sweep summary (nil if the shard
-	// never produced one: lost, quarantined, failed, or unvisited).
+	// never produced one: lost, or failed past its retries).
 	Summary *fleet.SweepSummary `json:"summary,omitempty"`
 	// Adopted counts hosts re-hashed onto this shard from lost shards.
 	Adopted int `json:"adopted,omitempty"`
@@ -163,10 +151,8 @@ type ShardResult struct {
 	// Failover marks a row created by mid-sweep wedge failover: the
 	// shard adopting another's unfinished hosts while the sweep was
 	// still running.
-	Failover bool `json:"failover,omitempty"`
-	// Quarantined marks a shard whose circuit breaker opened.
-	Quarantined bool   `json:"quarantined,omitempty"`
-	Err         string `json:"error,omitempty"`
+	Failover bool   `json:"failover,omitempty"`
+	Err      string `json:"error,omitempty"`
 	// Attempts and RetryNs account shard-level retries; like the host
 	// versions they are bookkeeping, excluded from every digest.
 	Attempts int   `json:"attempts,omitempty"`
@@ -188,8 +174,6 @@ type Report struct {
 	// LostShards lists shards whose journals did not survive the crash,
 	// sorted. Provenance, excluded from digests.
 	LostShards []int `json:"lostShards,omitempty"`
-	// QuarantinedShards lists shards whose breaker opened, sorted.
-	QuarantinedShards []int `json:"quarantinedShards,omitempty"`
 
 	// Aggregated host verdicts across every shard summary.
 	Scanned          int `json:"scanned"`
@@ -236,10 +220,7 @@ func New(cfg Config, src HostSource) (*Coordinator, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("fleetshard: Config.Shards must be >= 1 (got %d)", cfg.Shards)
 	}
-	if cfg.Kind == "" {
-		cfg.Kind = fleet.SweepInside
-	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := NewRing(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -632,11 +613,10 @@ func (lj *liveJob) done(name string) bool {
 // adopter jobs while workers are draining it, so the queue is done only
 // when it is empty AND nothing in flight could push more.
 type jobQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []*liveJob
-	active  int
-	stopped bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  []*liveJob
+	active int
 }
 
 func newJobQueue(initial []*liveJob) *jobQueue {
@@ -645,14 +625,11 @@ func newJobQueue(initial []*liveJob) *jobQueue {
 	return q
 }
 
-// pop blocks until a job is available; false means drained or stopped.
+// pop blocks until a job is available; false means drained.
 func (q *jobQueue) pop() (*liveJob, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.stopped {
-			return nil, false
-		}
 		if len(q.items) > 0 {
 			lj := q.items[0]
 			q.items = q.items[1:]
@@ -683,13 +660,6 @@ func (q *jobQueue) finish() {
 	q.cond.Broadcast()
 }
 
-func (q *jobQueue) stop() {
-	q.mu.Lock()
-	q.stopped = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
 // sweepState is the run-scoped mutable state shared by shard workers:
 // the report rows, which shards are unavailable for adoption (lost at
 // resume, wedged in flight), which journal paths are spoken for, and
@@ -701,19 +671,14 @@ type sweepState struct {
 	unavailable map[int]bool
 	claimed     map[string]bool
 	seq         int
-	failed      int
 }
 
 // run executes the shard jobs with bounded shard parallelism, watchdog
-// supervision with mid-sweep failover, shard retry/breaker, the
-// fleet-of-fleets error budget, and streaming aggregation, then seals
-// the merged report.
+// supervision with mid-sweep failover, shard retries, and streaming
+// aggregation, then seals the merged report.
 func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bool) (*Report, error) {
-	rep := &Report{Kind: c.cfg.Kind, Shards: c.cfg.Shards, Hosts: c.src.Len(), LostShards: lostIDs}
-	gauge := c.cfg.Resident
-	if gauge == nil {
-		gauge = &fleet.ResidentGauge{}
-	}
+	rep := &Report{Kind: fleet.SweepInside, Shards: c.cfg.Shards, Hosts: c.src.Len(), LostShards: lostIDs}
+	gauge := &fleet.ResidentGauge{}
 
 	workers := c.cfg.ShardParallelism
 	if workers <= 0 {
@@ -748,7 +713,6 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 	queue := newJobQueue(initial)
 
 	var wg sync.WaitGroup
-	budget := supervise.ErrorBudget{Name: "shard error budget", Unit: "shards", Fraction: c.cfg.AbortAfterShardFailureFraction, Total: len(jobs)}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -758,7 +722,7 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 				if !ok {
 					return
 				}
-				sum, attempts, retryNs, quarantined, wedged, err := c.runShardWithRetry(lj, sup, gauge)
+				sum, attempts, retryNs, wedged, err := c.runShardWithRetry(lj, sup, gauge)
 				var failoverErr error
 				if wedged {
 					failoverErr = c.failoverWedged(lj, sum, st, queue)
@@ -767,23 +731,12 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 				lj.row.Summary = sum
 				lj.row.Attempts = attempts
 				lj.row.RetryNs = retryNs
-				lj.row.Quarantined = quarantined
 				lj.row.Resumed = len(lj.job.tasks) > 0 && lj.job.tasks[0].resume
 				lj.row.Wedged = wedged
 				if err != nil {
 					lj.row.Err = err.Error()
 				} else if failoverErr != nil {
 					lj.row.Err = failoverErr.Error()
-				}
-				// A cleanly failed-over wedge does not spend the shard error
-				// budget: its work completed elsewhere. A wedge that could
-				// not fail over does.
-				if err != nil || quarantined || failoverErr != nil {
-					st.failed++
-					if reason := budget.Exceeded(st.failed); reason != "" && !rep.Aborted {
-						rep.Aborted, rep.AbortReason = true, reason
-						queue.stop()
-					}
 				}
 				st.mu.Unlock()
 				queue.finish()
@@ -810,13 +763,10 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 		rep.ShardResults[i] = *row
 	}
 
-	// Fold: aggregate every summary; unvisited and summary-less shards
-	// contribute their host counts to NotScanned, never silently vanish.
+	// Fold: aggregate every summary; summary-less shards contribute
+	// their host counts to NotScanned, never silently vanish.
 	for i := range rep.ShardResults {
 		sr := &rep.ShardResults[i]
-		if sr.Quarantined {
-			rep.QuarantinedShards = append(rep.QuarantinedShards, sr.Shard)
-		}
 		if sr.Summary == nil {
 			// A lost shard's hosts are accounted by their adopters; any
 			// other summary-less shard leaves its hosts unscanned.
@@ -843,7 +793,6 @@ func (c *Coordinator) run(jobs []shardJob, lostIDs []int, unavailable map[int]bo
 			rep.MakespanNs = span
 		}
 	}
-	sort.Ints(rep.QuarantinedShards)
 	rep.PeakResident = gauge.Peak()
 	rep.Acc = mergedAcc(rep)
 	rep.Seal()
@@ -963,19 +912,18 @@ func (c *Coordinator) failoverWedged(lj *liveJob, sum *fleet.SweepSummary, st *s
 // runShardWithRetry runs one shard's tasks under the shard-level retry
 // policy — the same supervise.RetryPolicy the per-host loop drives
 // (doubling capped backoff, deterministic full jitter when
-// Config.BackoffJitterSeed is set, a consecutive-failure circuit
-// breaker) — with journal-aware retries: a retried journaled task
-// resumes the journal its failed attempt left behind instead of
-// re-scanning committed hosts. A wedged attempt returns immediately,
-// never retried: its unfinished work is failing over to other shards,
-// and re-running it here would commit those hosts twice.
-func (c *Coordinator) runShardWithRetry(lj *liveJob, sup *supervise.Supervisor, gauge *fleet.ResidentGauge) (sum *fleet.SweepSummary, attempts int, retryNs int64, quarantined, wedged bool, err error) {
+// Config.BackoffJitterSeed is set) — with journal-aware retries: a
+// retried journaled task resumes the journal its failed attempt left
+// behind instead of re-scanning committed hosts. A wedged attempt
+// returns immediately, never retried: its unfinished work is failing
+// over to other shards, and re-running it here would commit those
+// hosts twice.
+func (c *Coordinator) runShardWithRetry(lj *liveJob, sup *supervise.Supervisor, gauge *fleet.ResidentGauge) (sum *fleet.SweepSummary, attempts int, retryNs int64, wedged bool, err error) {
 	job := lj.job
 	policy := supervise.RetryPolicy{
-		MaxRetries:       c.cfg.ShardMaxRetries,
-		Backoff:          c.cfg.ShardRetryBackoff,
-		BreakerThreshold: c.cfg.ShardBreakerThreshold,
-		JitterSeed:       c.cfg.BackoffJitterSeed,
+		MaxRetries: c.cfg.ShardMaxRetries,
+		Backoff:    c.cfg.ShardRetryBackoff,
+		JitterSeed: c.cfg.BackoffJitterSeed,
 	}
 	rt := policy.Begin(uint64(job.shard), 0, 0)
 	for {
@@ -983,12 +931,10 @@ func (c *Coordinator) runShardWithRetry(lj *liveJob, sup *supervise.Supervisor, 
 		sum, wedged, err = c.runShardOnce(lj, attempts, sup, gauge)
 		verdict, wait := rt.After(err == nil, err != nil)
 		switch {
-		case verdict == supervise.Quarantine:
-			return nil, attempts, retryNs, true, false, err
 		case verdict == supervise.Stand && err != nil:
-			return nil, attempts, retryNs, false, false, err
+			return nil, attempts, retryNs, false, err
 		case verdict == supervise.Stand:
-			return sum, attempts, retryNs, false, wedged, nil
+			return sum, attempts, retryNs, wedged, nil
 		}
 		// Virtual wait: the coordinator has no machine clock; the backoff
 		// is charged to the shard's retry accounting.
@@ -1031,7 +977,7 @@ func (c *Coordinator) runShardOnce(lj *liveJob, attempt int, sup *supervise.Supe
 		}
 		mgr := c.newShardManager(t.indices, gauge)
 		shard := job.shard
-		plan := fleet.Plan{Kind: c.cfg.Kind, Workers: c.shardWorkers(), Journal: t.path, Sink: func(res fleet.HostResult) {
+		plan := fleet.Plan{Kind: fleet.SweepInside, Workers: c.shardWorkers(), Journal: t.path, Sink: func(res fleet.HostResult) {
 			lj.commit(res.Host)
 			if sup != nil {
 				sup.Beat(watchID)
@@ -1081,7 +1027,7 @@ func (c *Coordinator) runShardOnce(lj *liveJob, attempt int, sup *supervise.Supe
 		}
 	}
 	if combined == nil {
-		combined = &fleet.SweepSummary{Kind: c.cfg.Kind}
+		combined = &fleet.SweepSummary{Kind: fleet.SweepInside}
 	}
 	combined.Seal()
 	return combined, wedged, nil
@@ -1125,8 +1071,7 @@ func (c *Coordinator) writeManifest(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleetshard: journal dir: %w", err)
 	}
-	m := manifest{Version: 1, Kind: string(c.cfg.Kind), Shards: c.cfg.Shards,
-		VNodes: c.cfg.VNodes, Hosts: c.src.Len()}
+	m := manifest{Version: 1, Kind: string(fleet.SweepInside), Shards: c.cfg.Shards, Hosts: c.src.Len()}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
@@ -1146,11 +1091,8 @@ func (c *Coordinator) readManifest(dir string) error {
 	if m.Shards != c.cfg.Shards {
 		return fmt.Errorf("fleetshard: manifest records %d shards, resuming with %d — shard topology must match", m.Shards, c.cfg.Shards)
 	}
-	if m.Kind != string(c.cfg.Kind) {
-		return fmt.Errorf("fleetshard: manifest records a %q sweep, resuming as %q", m.Kind, c.cfg.Kind)
-	}
-	if m.VNodes != c.cfg.VNodes {
-		return fmt.Errorf("fleetshard: manifest records vnodes=%d, resuming with %d — ring geometry must match", m.VNodes, c.cfg.VNodes)
+	if m.Kind != string(fleet.SweepInside) {
+		return fmt.Errorf("fleetshard: manifest records a %q sweep, resuming as %q", m.Kind, fleet.SweepInside)
 	}
 	if m.Hosts != c.src.Len() {
 		return fmt.Errorf("fleetshard: manifest records %d hosts, source has %d", m.Hosts, c.src.Len())

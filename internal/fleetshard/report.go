@@ -11,7 +11,6 @@ package fleetshard
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -41,12 +40,11 @@ type mergedDigestBody struct {
 // shardDigestRow is one shard's contribution to the full (layer-4)
 // report digest: identity and verdict, never timing or provenance.
 type shardDigestRow struct {
-	Shard       int    `json:"shard"`
-	Hosts       int    `json:"hosts"`
-	Digest      string `json:"digest,omitempty"` // the shard summary's seal
-	Lost        bool   `json:"lost,omitempty"`
-	Quarantined bool   `json:"quarantined,omitempty"`
-	Err         string `json:"error,omitempty"`
+	Shard  int    `json:"shard"`
+	Hosts  int    `json:"hosts"`
+	Digest string `json:"digest,omitempty"` // the shard summary's seal
+	Lost   bool   `json:"lost,omitempty"`
+	Err    string `json:"error,omitempty"`
 }
 
 // reportDigestBody is the canonical form the full report digest covers.
@@ -93,8 +91,7 @@ func (r *Report) ComputeMergedDigest() string {
 func (r *Report) ComputeDigest() string {
 	body := reportDigestBody{Merged: r.mergedBody(), Abort: r.AbortReason}
 	for _, sr := range r.ShardResults {
-		row := shardDigestRow{Shard: sr.Shard, Hosts: sr.Hosts, Lost: sr.Lost,
-			Quarantined: sr.Quarantined, Err: sr.Err}
+		row := shardDigestRow{Shard: sr.Shard, Hosts: sr.Hosts, Lost: sr.Lost, Err: sr.Err}
 		if sr.Summary != nil {
 			row.Digest = sr.Summary.Digest
 		}
@@ -218,20 +215,11 @@ func (r *Report) VerifyJournals(dir string) error {
 }
 
 // Degraded reports whether any part of the fleet's verdict is weaker
-// than a clean full scan: failed or quarantined hosts, quarantined
-// shards, degraded scans, or hosts never visited. Lost-and-recovered
-// shards alone do not degrade the verdict — their hosts were re-scanned
-// in full.
+// than a clean full scan: failed or quarantined hosts, degraded scans,
+// or hosts never visited (a shard that failed past its retries leaves
+// all of its hosts unvisited). Lost-and-recovered shards alone do not
+// degrade the verdict — their hosts were re-scanned in full.
 func (r *Report) Degraded() bool {
 	return r.Failed > 0 || r.DegradedHosts > 0 || r.QuarantinedHosts > 0 ||
-		r.NotScanned > 0 || len(r.QuarantinedShards) > 0
-}
-
-// WriteJSON renders the report for the management console.
-func (r *Report) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+		r.NotScanned > 0
 }

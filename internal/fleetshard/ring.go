@@ -15,11 +15,11 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per shard. More vnodes mean a
+// vnodes is the virtual-node count per shard. More vnodes mean a
 // smoother host distribution (and a tighter near-linear scaling curve);
 // 128 keeps the max/mean shard load within a few percent at fleet
 // scale while the ring stays a few thousand points.
-const defaultVNodes = 128
+const vnodes = 128
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -32,13 +32,12 @@ type ringPoint struct {
 // and removing a shard moves only that shard's hosts (the defining
 // consistent-hashing property the rebalance tests pin).
 type Ring struct {
-	vnodes int
 	ids    []int
 	points []ringPoint
 }
 
 // NewRing builds a ring over shard ids 0..shards-1.
-func NewRing(shards, vnodes int) (*Ring, error) {
+func NewRing(shards int) (*Ring, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("fleetshard: ring needs at least one shard (got %d)", shards)
 	}
@@ -46,18 +45,15 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	return newRingFrom(ids, vnodes)
+	return newRingFrom(ids)
 }
 
 // newRingFrom builds a ring over an explicit shard id set.
-func newRingFrom(ids []int, vnodes int) (*Ring, error) {
+func newRingFrom(ids []int) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("fleetshard: ring needs at least one shard")
 	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &Ring{vnodes: vnodes, ids: append([]int(nil), ids...)}
+	r := &Ring{ids: append([]int(nil), ids...)}
 	sort.Ints(r.ids)
 	r.points = make([]ringPoint, 0, len(ids)*vnodes)
 	var scratch [32]byte
@@ -102,11 +98,8 @@ func (r *Ring) Without(lost map[int]bool) (*Ring, error) {
 			keep = append(keep, id)
 		}
 	}
-	return newRingFrom(keep, r.vnodes)
+	return newRingFrom(keep)
 }
-
-// Shards returns the shard ids on the ring, sorted.
-func (r *Ring) Shards() []int { return append([]int(nil), r.ids...) }
 
 // FNV-1a, inlined so a million Assign calls cost zero allocations:
 // fast, stable across runs and platforms, good enough spread for vnode

@@ -18,7 +18,7 @@ func ringHosts(n int) []string {
 // "no host ever assigned to two shards" half of the rebalance contract.
 func TestRingAssignmentIsAPartition(t *testing.T) {
 	const shards = 16
-	ring, err := NewRing(shards, 0)
+	ring, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestRingAssignmentIsAPartition(t *testing.T) {
 // same parameters agree on every assignment — required for resume,
 // where the coordinator reconstructs the ring from the manifest.
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
-	a, err := NewRing(8, 64)
+	a, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(8, 64)
+	b, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 // This is the property that makes resume-after-shard-loss sound: no
 // committed (surviving-shard) work is ever re-assigned.
 func TestRingRemovalMovesOnlyLostHosts(t *testing.T) {
-	ring, err := NewRing(8, 0)
+	ring, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestRingRemovalMovesOnlyLostHosts(t *testing.T) {
 func TestRingAddRemoveRebalanceBound(t *testing.T) {
 	hosts := ringHosts(20000)
 	for _, n := range []int{4, 8, 16} {
-		small, err := NewRing(n, 0)
+		small, err := NewRing(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := NewRing(n+1, 0)
+		big, err := NewRing(n + 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRingAddRemoveRebalanceBound(t *testing.T) {
 // FNV spread over 128 vnodes is good, not perfect.
 func TestRingBalance(t *testing.T) {
 	const shards = 16
-	ring, err := NewRing(shards, 0)
+	ring, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestRingBalance(t *testing.T) {
 // TestRingRejectsEmpty: a ring with no shards is a configuration
 // error, not a panic site.
 func TestRingRejectsEmpty(t *testing.T) {
-	if _, err := NewRing(0, 0); err == nil {
+	if _, err := NewRing(0); err == nil {
 		t.Error("NewRing(0) succeeded")
 	}
-	ring, err := NewRing(2, 0)
+	ring, err := NewRing(2)
 	if err != nil {
 		t.Fatal(err)
 	}

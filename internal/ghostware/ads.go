@@ -2,7 +2,6 @@ package ghostware
 
 import (
 	"fmt"
-	"strings"
 
 	"ghostbuster/internal/machine"
 	"ghostbuster/internal/winapi"
@@ -67,11 +66,4 @@ func (g *ADSGhost) Install(m *machine.Machine) error {
 	// stealth is all in the file system.
 	_, err = runHook(m, "adsldr", g.hostFile+":payload.exe")
 	return err
-}
-
-// IsBenignStreamName reports whether a stream name is part of normal
-// Windows operation (the browser's Zone.Identifier markers) rather than
-// a hiding place. Used by the core noise filters.
-func IsBenignStreamName(name string) bool {
-	return strings.EqualFold(name, "Zone.Identifier")
 }

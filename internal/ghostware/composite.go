@@ -243,10 +243,6 @@ func (c *Composite) Atoms() []Atom { return append([]Atom(nil), c.atoms...) }
 // from module enumeration (match findings by substring).
 func (c *Composite) HiddenModules() []string { return append([]string(nil), c.hiddenMods...) }
 
-// LoaderExe returns the visible loader image that reinstalls the
-// composite at boot.
-func (c *Composite) LoaderExe() string { return c.loaderExe }
-
 // NewComposite assembles a ghostware from atoms. The label personalizes
 // loader names so several composites can coexist on one fleet host; it
 // must be a plain letters-and-digits token.

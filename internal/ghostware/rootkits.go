@@ -438,9 +438,6 @@ func (g *Berbew) Install(m *machine.Machine) error {
 	return act(m)
 }
 
-// ExeName returns the random image name chosen at install.
-func (g *Berbew) ExeName() string { return g.exeName }
-
 // --- FU [ZFU] ----------------------------------------------------------------
 //
 // The DKOM rootkit: its driver removes a target process's EPROCESS from

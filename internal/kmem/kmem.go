@@ -187,16 +187,6 @@ func (a *Arena) Snapshot() []byte {
 	return out
 }
 
-// Restore overwrites the arena contents from a snapshot. Used by the VM
-// extension to clone guest kernel state.
-func (a *Arena) Restore(img []byte) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.mem = make([]byte, len(img))
-	copy(a.mem, img)
-	a.next = uint64(len(img))
-}
-
 // --- LIST_ENTRY manipulation -------------------------------------------
 //
 // A LIST_ENTRY occupies 16 bytes: Flink (u64) then Blink (u64). A list

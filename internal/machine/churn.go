@@ -164,15 +164,6 @@ func (m *Machine) DisableChurn(kind ChurnKind) {
 	m.churn = kept
 }
 
-// ChurnKinds lists the active churn services.
-func (m *Machine) ChurnKinds() []ChurnKind {
-	out := make([]ChurnKind, 0, len(m.churn))
-	for _, c := range m.churn {
-		out = append(out, c.kind)
-	}
-	return out
-}
-
 // hashString is a small deterministic string hash (FNV-1a) for stable
 // synthetic filenames.
 func hashString(s string) uint32 {

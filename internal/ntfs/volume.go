@@ -264,19 +264,11 @@ func (v *Volume) PatchDevice(off int, data []byte) error {
 // that can change the device bytes bumps it, conservatively: a bump may
 // happen even when the bytes end up unchanged (a failed create still
 // counts), but bytes never change without a bump. Incremental scanners
-// key parse caches on this value. Callers that write the device bytes
-// directly (bypassing the Volume mutators) must call BumpGeneration.
+// key parse caches on this value.
 func (v *Volume) Generation() uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.gen
-}
-
-// BumpGeneration records an out-of-band mutation of the device bytes.
-func (v *Volume) BumpGeneration() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.gen++
 }
 
 // SnapshotImage returns a copy of the device, as the WinPE / VM outside
@@ -888,28 +880,4 @@ func (v *Volume) ReadDir(path string) ([]Info, error) {
 		out[i] = ents[i].info
 	}
 	return out, nil
-}
-
-// SetAttrs updates the DOS attribute bits of a file (used to model
-// hidden/system attribute tricks).
-func (v *Volume) SetAttrs(path string, attrs uint32, modified uint64) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.gen++
-	num, err := v.resolve(path)
-	if err != nil {
-		return err
-	}
-	rec, err := v.readRecord(num)
-	if err != nil {
-		return err
-	}
-	si, err := rec.StandardInformation()
-	if err != nil {
-		return err
-	}
-	si.FileAttrs = attrs
-	si.Modified = modified
-	rec.attr(AttrStandardInformation).Content = encodeStandardInformation(si)
-	return v.writeRecord(rec)
 }

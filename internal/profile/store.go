@@ -184,19 +184,6 @@ func (s *Store) Import(data []byte) (Profile, error) {
 	return p, nil
 }
 
-// ImportFile imports the profile stored in the named file.
-func (s *Store) ImportFile(path string) (Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Profile{}, fmt.Errorf("profile: reading %s: %w", path, err)
-	}
-	p, err := s.Import(data)
-	if err != nil {
-		return Profile{}, fmt.Errorf("profile: importing %s: %w", path, err)
-	}
-	return p, nil
-}
-
 // Export returns the named profile in the stored form (checksummed),
 // suitable for re-import elsewhere.
 func (s *Store) Export(name string) ([]byte, error) {

@@ -13,14 +13,11 @@ const trackerCap = 256
 
 // QuantileTracker watches completed-scan wall durations and turns them
 // into a hedge threshold: "this host has run longer than multiplier ×
-// the q-quantile of its peers — duplicate it." It keeps a bounded
-// sliding window so a fleet whose hosts slow down over time adapts
-// instead of hedging everything against stale early samples.
+// the median (0.5 quantile) of its peers — duplicate it." It keeps a
+// bounded sliding window so a fleet whose hosts slow down over time
+// adapts instead of hedging everything against stale early samples.
 type QuantileTracker struct {
-	// Quantile in (0,1]; the reference point for "normal" scan time.
-	// Zero means 0.5 (the median).
-	Quantile float64
-	// Multiplier scales the quantile into the hedge threshold. Zero
+	// Multiplier scales the median into the hedge threshold. Zero
 	// means 2.
 	Multiplier float64
 	// MinSamples is how many completed scans must be observed before
@@ -62,10 +59,6 @@ func (t *QuantileTracker) Threshold() time.Duration {
 	if min <= 0 {
 		min = 3
 	}
-	q := t.Quantile
-	if q <= 0 || q > 1 {
-		q = 0.5
-	}
 	mult := t.Multiplier
 	if mult <= 0 {
 		mult = 2
@@ -86,7 +79,7 @@ func (t *QuantileTracker) Threshold() time.Duration {
 	s := t.scratch[:have]
 	copy(s, t.ring[:have])
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(have-1))
+	idx := (have - 1) / 2
 	th := time.Duration(float64(s[idx]) * mult)
 	if th < t.Floor {
 		th = t.Floor

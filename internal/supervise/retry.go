@@ -136,23 +136,20 @@ func jitter(cur time.Duration, seed int64, tags ...uint64) time.Duration {
 	return 1 + time.Duration(faultinject.Mix(seed, tags...)%uint64(cur))
 }
 
-// ErrorBudget is the one error-budget rule of the control plane: a
-// fleet sweep aborts once more than Fraction of its hosts have failed,
-// and a sharded run once more than Fraction of its shards have. Zero
-// Fraction disables it.
+// ErrorBudget is the fleet sweep's error-budget rule: a sweep aborts
+// once more than Fraction of its hosts have failed. Zero Fraction
+// disables it.
 type ErrorBudget struct {
-	Name     string // leads the abort reason: "error budget", "shard error budget"
-	Unit     string // what failed, plural: "hosts", "shards"
 	Fraction float64
 	Total    int
 }
 
-// Exceeded returns the abort reason once failed units overspend the
+// Exceeded returns the abort reason once failed hosts overspend the
 // budget, and "" while they do not.
 func (b ErrorBudget) Exceeded(failed int) string {
 	if b.Fraction <= 0 || float64(failed) <= b.Fraction*float64(b.Total) {
 		return ""
 	}
-	return fmt.Sprintf("%s exceeded: %d of %d %s failed (budget %.0f%%) — aborting sweep",
-		b.Name, failed, b.Total, b.Unit, b.Fraction*100)
+	return fmt.Sprintf("error budget exceeded: %d of %d hosts failed (budget %.0f%%) — aborting sweep",
+		failed, b.Total, b.Fraction*100)
 }

@@ -111,18 +111,14 @@ func TestRetryPolicyBreakerAndPriorHistory(t *testing.T) {
 
 // TestErrorBudgetExceeded: the budget is spent only once failures pass
 // the fraction strictly, a zero fraction never aborts, and the reason
-// texts of both fleet levels are the ones sealed into sweep digests.
+// text is the one sealed into sweep digests.
 func TestErrorBudgetExceeded(t *testing.T) {
-	hosts := ErrorBudget{Name: "error budget", Unit: "hosts", Fraction: 0.25, Total: 8}
+	hosts := ErrorBudget{Fraction: 0.25, Total: 8}
 	if r := hosts.Exceeded(2); r != "" {
 		t.Errorf("2 of 8 at 25%% = %q, want within budget", r)
 	}
 	if r, want := hosts.Exceeded(3), "error budget exceeded: 3 of 8 hosts failed (budget 25%) — aborting sweep"; r != want {
 		t.Errorf("3 of 8 = %q, want %q", r, want)
-	}
-	shards := ErrorBudget{Name: "shard error budget", Unit: "shards", Fraction: 0.5, Total: 4}
-	if r, want := shards.Exceeded(3), "shard error budget exceeded: 3 of 4 shards failed (budget 50%) — aborting sweep"; r != want {
-		t.Errorf("3 of 4 shards = %q, want %q", r, want)
 	}
 	if r := (ErrorBudget{Total: 4}).Exceeded(4); r != "" {
 		t.Errorf("zero fraction = %q, want disabled", r)

@@ -1,9 +1,9 @@
 // Package supervise is the live-recovery layer: watchdogs that notice
 // when a worker stops making progress, a quantile tracker that decides
 // when a host scan has become a straggler worth hedging, the bounded
-// retry policy (backoff, jitter, breaker) every control-plane level
-// shares, and a bounded admission gate that sheds load before the
-// daemon melts down.
+// retry policy (backoff and jitter at both control-plane levels, the
+// breaker per host only), the per-host error budget, and a bounded
+// admission gate that sheds load before the daemon melts down.
 //
 // The package deliberately knows nothing about shards, hosts, or HTTP.
 // Callers register opaque watch IDs and emit beats; the supervisor's

@@ -102,7 +102,7 @@ func TestPolicyTimeoutTotal(t *testing.T) {
 }
 
 func TestQuantileTrackerThreshold(t *testing.T) {
-	tr := &QuantileTracker{Quantile: 0.5, Multiplier: 2, MinSamples: 3}
+	tr := &QuantileTracker{Multiplier: 2, MinSamples: 3}
 	if th := tr.Threshold(); th != 0 {
 		t.Fatalf("threshold with no samples = %v, want 0", th)
 	}
@@ -140,7 +140,7 @@ func TestQuantileTrackerFloorAndDefaults(t *testing.T) {
 }
 
 func TestQuantileTrackerWindowSlides(t *testing.T) {
-	tr := &QuantileTracker{Quantile: 0.5, Multiplier: 1, MinSamples: 1}
+	tr := &QuantileTracker{Multiplier: 1, MinSamples: 1}
 	for i := 0; i < trackerCap; i++ {
 		tr.Observe(time.Hour) // ancient slow samples
 	}

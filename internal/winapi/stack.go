@@ -332,11 +332,6 @@ func (s *Stack) EnumProcessesWin32(call *Call) ([]ProcEntry, error) {
 	return s.enumProcs(call, LevelIAT)
 }
 
-// EnumProcessesNative lists processes entering at ntdll.
-func (s *Stack) EnumProcessesNative(call *Call) ([]ProcEntry, error) {
-	return s.enumProcs(call, LevelNtdll)
-}
-
 // EnumModulesWin32 lists the modules of pid through the full chain.
 // Entries whose pathname has been blanked in the PEB are invisible, as
 // the calling chain keys on pathnames.

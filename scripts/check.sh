@@ -43,12 +43,15 @@ echo "==> crash-resume unit matrix: names still select tests"
 matrix -list 'TestResumeReplaysCommittedHosts|TestResumeContinuesAttemptNumbering|TestResumeRejects|TestResumeInteriorCorruptionIsLoud|TestBreaker|TestAbortAfterFailureFraction' ./internal/fleet/
 matrix -list 'TestTornTailRecovered|TestBitFlipIsLoud|TestInteriorTruncationIsLoud' ./internal/journal/
 
-echo "==> sharded control-plane matrix (shard loss, topology independence, bounded residency): names still select tests"
-matrix -list 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardBreakerQuarantines|TestShardErrorBudgetAborts' ./internal/fleetshard/
+echo "==> sharded control-plane matrix (shard loss, topology independence, bounded residency, a shard failing past its retries): names still select tests"
+matrix -list 'TestShardCrashResumeReproducesMergedDigest|TestResumeAfterTotalLoss|TestResumeRestartsHeaderlessShardJournal|TestMergedDigestIndependentOfShardTopology|TestBoundedResidentResults|TestShardRetriesExhaustedStaysLoud' ./internal/fleetshard/
 
 echo "==> daemon smoke (boot, API sweep, graceful drain; locked-profile API rejections): names still select tests"
 matrix -list 'TestRunSmoke|TestRunFlagValidation' ./cmd/ghostbusterd/
 matrix -list 'TestHTTPLockedProfileRejectsWeakening|TestCrashResumeDigestEquality|TestGracefulShutdownDrainsInFlightSweep' ./internal/daemon/
+
+echo "==> host retry jitter in the daemon's local sweep, 20 runs (its two sweeps must fail the same scan unit every time)"
+matrix '-count=20' '^TestLocalSweepJittersHostRetries$' ./internal/daemon/
 
 echo "==> supervision unit matrix (wedge failover, hedged stragglers, jittered retries, cancel-seal; the ghostfuzz rows run in the fleet topology matrix): names still select tests"
 matrix -list 'TestWatchdog|TestWedge|TestResumeOfCompletedWedgeRun' ./internal/fleetshard/
